@@ -17,6 +17,7 @@ solver programs is running underneath.
 
 from __future__ import annotations
 
+import importlib
 import os
 
 import numpy as np
@@ -24,7 +25,6 @@ import numpy as np
 from repro.config import BoundaryConfig, SimulationConfig, StructureConfig
 from repro.core.lbm import analysis
 from repro.core.lbm.fields import FluidGrid
-from repro.core.solver import SequentialLBMIBSolver
 from repro.constants import viscosity_from_tau
 from repro.errors import ConfigurationError
 
@@ -57,6 +57,14 @@ _FLUID_STATE_FIELDS = (
     "velocity_shifted",
     "force",
 )
+
+#: Single-core variants built from the same arguments on one FluidGrid:
+#: ``(module, class)``, imported on first use like the other variants.
+_SOLO_SOLVERS = {
+    "sequential": ("repro.core.solver", "SequentialLBMIBSolver"),
+    "fused": ("repro.core.fused_solver", "FusedLBMIBSolver"),
+    "inplace": ("repro.core.inplace_solver", "InplaceLBMIBSolver"),
+}
 
 
 class Simulation:
@@ -160,32 +168,9 @@ class Simulation:
         self._distributed = None
         self._batch = None
 
-        if config.solver == "sequential":
-            self._solver = SequentialLBMIBSolver(
-                self._fluid,
-                self._built_structure,
-                delta=self._delta,
-                boundaries=self._boundaries,
-                dt=config.dt,
-                external_force=config.external_force,
-                fault_hook=self._hook_for(self._fluid),
-            )
-        elif config.solver == "fused":
-            from repro.core.fused_solver import FusedLBMIBSolver
-
-            self._solver = FusedLBMIBSolver(
-                self._fluid,
-                self._built_structure,
-                delta=self._delta,
-                boundaries=self._boundaries,
-                dt=config.dt,
-                external_force=config.external_force,
-                fault_hook=self._hook_for(self._fluid),
-            )
-        elif config.solver == "inplace":
-            from repro.core.inplace_solver import InplaceLBMIBSolver
-
-            self._solver = InplaceLBMIBSolver(
+        if config.solver in _SOLO_SOLVERS:
+            module, name = _SOLO_SOLVERS[config.solver]
+            self._solver = getattr(importlib.import_module(module), name)(
                 self._fluid,
                 self._built_structure,
                 delta=self._delta,

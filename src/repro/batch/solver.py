@@ -33,10 +33,8 @@ and refill it mid-run (:meth:`load_slot` / :meth:`clear_slot`).
 
 from __future__ import annotations
 
-import time
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Sequence
-
-import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.batch.guard import SlotGuard
@@ -44,12 +42,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 from repro.constants import DT
 from repro.core import kernels
-from repro.core.ib import motion as _motion
-from repro.core.ib import spreading as _spreading
 from repro.core.ib.delta import DeltaKernel, default_delta
 from repro.core.ib.fiber import ImmersedStructure
-from repro.core.lbm.boundaries import Boundary, face_index, validate_boundaries
+from repro.core.lbm.boundaries import Boundary, validate_boundaries
 from repro.core.lbm.fields import FluidGrid
+from repro.core.step import StencilCoupling, StepDriver, capture_plan
 from repro.batch.fields import BatchedFluidGrid
 from repro.batch.kernels import (
     batched_collide_stream,
@@ -59,7 +56,7 @@ from repro.batch.kernels import (
 __all__ = ["BatchedLBMIBSolver"]
 
 
-class BatchedLBMIBSolver:
+class BatchedLBMIBSolver(StepDriver):
     """Run B independent LBM-IB simulations through batched kernels.
 
     Parameters
@@ -72,7 +69,7 @@ class BatchedLBMIBSolver:
     delta / boundaries / dt / external_force:
         Shared physics, identical for every slot (the scheduler only
         groups compatible configs into one batch).
-    kernel_timer / tracer / fault_hook:
+    fault_hook / tracer:
         Same observability/fault surface as the solo solvers; the fault
         hook is called once per batched step with thread id 0.
     guard:
@@ -92,7 +89,6 @@ class BatchedLBMIBSolver:
         boundaries: Sequence[Boundary] = (),
         dt: float = DT,
         external_force: tuple[float, float, float] | None = None,
-        kernel_timer: Callable[[str, float], None] | None = None,
         fault_hook: Callable[[int, int], None] | None = None,
         tracer: "Tracer | None" = None,
         guard: "SlotGuard | None" = None,
@@ -104,7 +100,6 @@ class BatchedLBMIBSolver:
         validate_boundaries(self.boundaries)
         self.dt = dt
         self.external_force = external_force
-        self.kernel_timer = kernel_timer
         self.fault_hook = fault_hook
         self.tracer = tracer
         self.time_step = 0
@@ -122,58 +117,28 @@ class BatchedLBMIBSolver:
         #: Slots currently carrying a live simulation.
         self.active = [True] * b
 
-        self._stencil_cache = _spreading.StencilCache()
-        self._ext: np.ndarray | None = None
-        if external_force is not None:
-            self._ext = np.asarray(external_force, dtype=grid.force.dtype).reshape(
-                3, 1, 1, 1
-            )
-            self.grid.force[...] = self._ext
-        self._build_capture_plan()
-
-    # ------------------------------------------------------------------
-    def _build_capture_plan(self) -> None:
-        """Preallocate ``(B, ...)`` face buffers for df_post-reading BCs."""
-        shape = self.grid.shape
-        b = self.grid.batch
-        face_dtype = self.grid.df.dtype
-        plan: dict[int, list[tuple[tuple, np.ndarray]]] = {}
-        # (boundary, per-slot {direction: face layer} dicts) in apply order
-        self._fused_boundaries: list[
-            tuple[Boundary, list[dict[int, np.ndarray]]]
-        ] = []
-        for boundary in self.boundaries:
-            slot_faces: list[dict[int, np.ndarray]] = [{} for _ in range(b)]
-            deps = boundary.post_dependencies()
-            if deps:
-                idx = face_index(boundary.axis, boundary.side, shape)
-                face_shape = self.grid.df[0, 0][idx].shape
-                for direction in deps:
-                    buf = np.empty((b,) + face_shape, dtype=face_dtype)
-                    for slot in range(b):
-                        slot_faces[slot][int(direction)] = buf[slot]
-                    plan.setdefault(int(direction), []).append((idx, buf))
-            self._fused_boundaries.append((boundary, slot_faces))
-        self._capture_plan = plan
-        self._capture = self._capture_faces if plan else None
-
-    def _capture_faces(self, direction: int, post: np.ndarray) -> None:
-        for idx, buf in self._capture_plan.get(direction, ()):
-            buf[...] = post[(slice(None),) + idx]
-
-    # ------------------------------------------------------------------
-    def _timed(self, name: str, fn: Callable[[], None]) -> None:
-        tracer = self.tracer
-        if tracer is None and self.kernel_timer is None:
-            fn()
-            return
-        start = time.perf_counter()
-        fn()
-        elapsed = time.perf_counter() - start
-        if self.kernel_timer is not None:
-            self.kernel_timer(name, elapsed)
-        if tracer is not None:
-            tracer.record(name, 0, start, elapsed, step=self.time_step)
+        self._bind_force(grid, external_force)
+        capture, faces = capture_plan(self.boundaries, grid.df, batch=b)
+        coupling = StencilCoupling(self.delta, self.dt)
+        # Kernels 1-4 and 8 per slot (over the structures list, which
+        # load/clear_slot mutate in place), kernels 5-7 and 9 batched; the
+        # IB stages run only while some slot carries a structure.
+        lattice = (
+            ("batched_collide_stream", partial(_collide_stream, grid, capture, faces)),
+            ("update_fluid_velocity", partial(batched_update_velocity_fields, grid)),
+        )
+        swap = (("swap_distributions", grid.swap_distributions),)
+        self._fluid_only = lattice + swap
+        self._with_ib = (
+            ("compute_fiber_forces", partial(_fiber_forces, self.structures)),
+            (
+                "spread_force_from_fibers_to_fluid",
+                partial(_spread_forces, coupling, self.structures, grid),
+            ),
+            *lattice,
+            ("move_fibers", partial(_move_fibers, coupling, self.structures, grid)),
+            *swap,
+        )
 
     # ------------------------------------------------------------------
     # slot management (continuous batching)
@@ -231,102 +196,56 @@ class BatchedLBMIBSolver:
     # ------------------------------------------------------------------
     # stepping
     # ------------------------------------------------------------------
-    def _fiber_forces(self) -> None:
-        for structure in self.structures:
-            if structure is None:
-                continue
-            kernels.compute_bending_force_in_fibers(structure)
-            kernels.compute_stretching_force_in_fibers(structure)
-            kernels.compute_elastic_force_in_fibers(structure)
+    def _stages(self):
+        has_ib = any(s is not None for s in self.structures)
+        return self._with_ib if has_ib else self._fluid_only
 
-    def _spread_forces(self) -> None:
-        for slot, structure in enumerate(self.structures):
-            if structure is None:
-                continue
-            force = self.grid.force[slot]
-            for sheet in structure.sheets:
-                _spreading.spread_forces(
-                    sheet, self.delta, force, cache=self._stencil_cache
-                )
-
-    def _collide_stream_boundaries(self) -> None:
-        batched_collide_stream(self.grid, capture=self._capture)
-        df_new = self.grid.df_new
-        for boundary, slot_faces in self._fused_boundaries:
-            for slot in range(self.grid.batch):
-                boundary.apply_fused(slot_faces[slot], df_new[slot])
-
-    def _move_fibers(self) -> None:
-        for slot, structure in enumerate(self.structures):
-            if structure is None:
-                continue
-            velocity = self.grid.velocity[slot]
-            for sheet in structure.sheets:
-                _motion.move_fibers(
-                    sheet,
-                    self.delta,
-                    velocity,
-                    dt=self.dt,
-                    cache=self._stencil_cache,
-                )
-
-    def step(self) -> None:
-        """Advance every active slot by one time step."""
-        if self.fault_hook is not None:
-            self.fault_hook(0, self.time_step)
-        any_structure = any(s is not None for s in self.structures)
-
-        # --- IB related (kernels 1-4, per slot) ---
-        if any_structure:
-            self._timed("compute_fiber_forces", self._fiber_forces)
-            self._stencil_cache.begin_step()
-            self._timed("spread_force_from_fibers_to_fluid", self._spread_forces)
-
-        # --- LBM related: kernels 5 + 6 batched ---
-        self._timed("batched_collide_stream", self._collide_stream_boundaries)
-
-        # --- FSI coupling related ---
-        self._timed(
-            "update_fluid_velocity",
-            lambda: batched_update_velocity_fields(self.grid),
-        )
-        if any_structure:
-            self._timed("move_fibers", self._move_fibers)
-            self._stencil_cache.end_step()
-        self._timed("swap_distributions", self.grid.swap_distributions)
-
-        if self._ext is None:
-            self.grid.force[...] = 0.0
-        else:
-            self.grid.force[...] = self._ext
-
-        self.time_step += 1
+    def _after_step(self) -> None:
         for slot in range(self.grid.batch):
             if self.active[slot]:
                 self.slot_steps[slot] += 1
         if self.guard is not None:
-            self._timed("slot_guard", lambda: self.guard.inspect(self))
+            self._run_stages(_GUARD_STAGE, self)
 
-    def run(self, num_steps: int, observer=None) -> None:
-        """Run ``num_steps`` batched time steps."""
-        if num_steps < 0:
-            raise ValueError(f"num_steps must be non-negative, got {num_steps}")
-        for _ in range(num_steps):
-            self.step()
-            if observer is not None:
-                observer(self.time_step, self)
+    def _snapshot_source(self):
+        """Slot 0 (solo-solver interface parity)."""
+        return self.grid.view(0), self.structures[0]
 
-    # ------------------------------------------------------------------
-    def snapshot(self) -> dict[str, np.ndarray]:
-        """Diagnostic snapshot of slot 0 (solo-solver interface parity)."""
-        structure = self.structures[0]
-        return {
-            "velocity": self.grid.velocity[0].copy(),
-            "density": self.grid.density[0].copy(),
-            "force": self.grid.force[0].copy(),
-            "fiber_positions": (
-                [s.positions.copy() for s in structure.sheets]
-                if structure is not None
-                else []
-            ),
-        }
+
+def _members(structures, field):
+    """``(structure, slot's slice of field)`` for every slot with one."""
+    for slot, structure in enumerate(structures):
+        if structure is not None:
+            yield structure, field[slot]
+
+
+def _fiber_forces(structures) -> None:
+    for structure in structures:
+        if structure is None:
+            continue
+        kernels.compute_bending_force_in_fibers(structure)
+        kernels.compute_stretching_force_in_fibers(structure)
+        kernels.compute_elastic_force_in_fibers(structure)
+
+
+def _spread_forces(coupling, structures, grid) -> None:
+    coupling.spread(_members(structures, grid.force))
+
+
+def _move_fibers(coupling, structures, grid) -> None:
+    coupling.move(_members(structures, grid.velocity))
+
+
+def _collide_stream(grid, capture, faces) -> None:
+    batched_collide_stream(grid, capture=capture)
+    df_new = grid.df_new
+    for boundary, slot_faces in faces:
+        for slot in range(grid.batch):
+            boundary.apply_fused(slot_faces[slot], df_new[slot])
+
+
+def _inspect_slots(solver) -> None:
+    solver.guard.inspect(solver)
+
+
+_GUARD_STAGE = (("slot_guard", _inspect_slots),)

@@ -33,31 +33,27 @@ consumer either ignores ``df_new`` or overwrites it before reading).
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Sequence
+from functools import partial
 
-import numpy as np
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.observe.tracer import Tracer
-
-from repro.constants import DT
-from repro.core import kernels
 from repro.core.coupling import update_velocity_fields_inplace
-from repro.core.ib import motion as _motion
-from repro.core.ib import spreading as _spreading
-from repro.core.ib.delta import DeltaKernel, default_delta
-from repro.core.ib.fiber import ImmersedStructure
-from repro.core.lbm.boundaries import Boundary, face_index, validate_boundaries
-from repro.core.lbm.fields import FluidGrid
 from repro.core.lbm.fused import fused_collide_stream
+from repro.core.step import SoloSolver, StencilCoupling, capture_plan
 
 __all__ = ["FusedLBMIBSolver"]
 
 
-@dataclass
-class FusedLBMIBSolver:
+def _collide_stream(fluid, capture, faces) -> None:
+    fused_collide_stream(fluid, capture=capture)
+    df_new = fluid.df_new
+    for boundary, layers in faces:
+        boundary.apply_fused(layers, df_new)
+
+
+def _update_velocity(fluid) -> None:
+    update_velocity_fields_inplace(fluid, fluid.arena.vector("fused_momentum"))
+
+
+class FusedLBMIBSolver(SoloSolver):
     """Run the LBM-IB method through the fused, allocation-free hot path.
 
     Constructor parameters mirror
@@ -66,176 +62,18 @@ class FusedLBMIBSolver:
     config's ``solver`` field).
     """
 
-    fluid: FluidGrid
-    structure: ImmersedStructure | None
-    delta: DeltaKernel = field(default_factory=default_delta)
-    boundaries: Sequence[Boundary] = field(default_factory=list)
-    dt: float = DT
-    kernel_timer: Callable[[str, float], None] | None = None
-    check_stability_every: int = 0
-    external_force: tuple[float, float, float] | None = None
-    fault_hook: Callable[[int, int], None] | None = None
-    tracer: "Tracer | None" = None
-    time_step: int = field(default=0, init=False)
-
-    def __post_init__(self) -> None:
-        validate_boundaries(list(self.boundaries))
-        self._stencil_cache = _spreading.StencilCache()
-        self._ext: np.ndarray | None = None
-        if self.external_force is not None:
-            self._ext = np.asarray(
-                self.external_force, dtype=self.fluid.force.dtype
-            ).reshape(3, 1, 1, 1)
-            self.fluid.force[...] = self._ext
-        self._build_capture_plan()
-
-    def _build_capture_plan(self) -> None:
-        """Preallocate face buffers for boundaries that read df_post."""
-        shape = self.fluid.shape
-        face_dtype = self.fluid.df.dtype
-        # direction -> [(face index tuple, destination buffer), ...]
-        plan: dict[int, list[tuple[tuple, np.ndarray]]] = {}
-        # (boundary, {direction: captured face layer}) in apply order
-        self._fused_boundaries: list[tuple[Boundary, dict[int, np.ndarray]]] = []
-        for boundary in self.boundaries:
-            faces: dict[int, np.ndarray] = {}
-            deps = boundary.post_dependencies()
-            if deps:
-                idx = face_index(boundary.axis, boundary.side, shape)
-                face_shape = self.fluid.df[0][idx].shape
-                for direction in deps:
-                    buf = np.empty(face_shape, dtype=face_dtype)
-                    faces[direction] = buf
-                    plan.setdefault(int(direction), []).append((idx, buf))
-            self._fused_boundaries.append((boundary, faces))
-        self._capture_plan = plan
-        self._capture = self._capture_faces if plan else None
-
-    def _capture_faces(self, direction: int, post: np.ndarray) -> None:
-        for idx, buf in self._capture_plan.get(direction, ()):
-            buf[...] = post[idx]
-
-    # ------------------------------------------------------------------
-    def _timed(self, name: str, fn: Callable[[], None]) -> None:
-        tracer = self.tracer
-        if tracer is None and self.kernel_timer is None:
-            fn()
-            return
-        start = time.perf_counter()
-        fn()
-        elapsed = time.perf_counter() - start
-        if self.kernel_timer is not None:
-            self.kernel_timer(name, elapsed)
-        if tracer is not None:
-            tracer.record(name, 0, start, elapsed, step=self.time_step)
-
-    def _collide_stream_boundaries(self) -> None:
-        fused_collide_stream(self.fluid, capture=self._capture)
-        df_new = self.fluid.df_new
-        for boundary, faces in self._fused_boundaries:
-            boundary.apply_fused(faces, df_new)
-
-    def _spread_forces(self) -> None:
-        for sheet in self.structure.sheets:
-            _spreading.spread_forces(
-                sheet, self.delta, self.fluid.force, cache=self._stencil_cache
-            )
-
-    def _move_fibers(self) -> None:
-        for sheet in self.structure.sheets:
-            _motion.move_fibers(
-                sheet,
-                self.delta,
-                self.fluid.velocity,
-                dt=self.dt,
-                cache=self._stencil_cache,
-            )
-
-    # ------------------------------------------------------------------
-    def step(self) -> None:
-        """Advance one time step through the fused hot path."""
-        if self.fault_hook is not None:
-            self.fault_hook(0, self.time_step)
-        fluid, structure = self.fluid, self.structure
-
-        # --- IB related (kernels 1-4, unchanged physics) ---
-        if structure is not None:
-            self._timed(
-                "compute_bending_force_in_fibers",
-                lambda: kernels.compute_bending_force_in_fibers(structure),
-            )
-            self._timed(
-                "compute_stretching_force_in_fibers",
-                lambda: kernels.compute_stretching_force_in_fibers(structure),
-            )
-            self._timed(
-                "compute_elastic_force_in_fibers",
-                lambda: kernels.compute_elastic_force_in_fibers(structure),
-            )
-            self._stencil_cache.begin_step()
-            # reset=False semantics: the force field already holds exactly
-            # the external body force (re-seeded at the end of every step).
-            self._timed("spread_force_from_fibers_to_fluid", self._spread_forces)
-
-        # --- LBM related: kernels 5 + 6 in one traversal ---
-        self._timed("fused_collide_stream", self._collide_stream_boundaries)
-
-        # --- FSI coupling related ---
-        self._timed(
-            "update_fluid_velocity",
-            lambda: update_velocity_fields_inplace(
-                fluid, fluid.arena.vector("fused_momentum")
+    def _build_stages(self):
+        fluid = self.fluid
+        capture, faces = capture_plan(self.boundaries, fluid.df)
+        coupling = StencilCoupling(self.delta, self.dt)
+        return self._table_around(
+            spread=partial(coupling.spread, ((self.structure, fluid.force),)),
+            lattice=(
+                # kernels 5 + 6 in one traversal
+                ("fused_collide_stream", partial(_collide_stream, fluid, capture, faces)),
+                ("update_fluid_velocity", partial(_update_velocity, fluid)),
             ),
+            move=partial(coupling.move, ((self.structure, fluid.velocity),)),
+            # Kernel 9 degenerates to a pointer swap (two-lattice scheme).
+            tail=(("swap_distributions", fluid.swap_distributions),),
         )
-        if structure is not None:
-            self._timed("move_fibers", self._move_fibers)
-            # The interpolation was the stencil's last consumer; release
-            # it so no dead stencil arrays stay retained after the run.
-            self._stencil_cache.end_step()
-        # Kernel 9 degenerates to a pointer swap (two-lattice scheme).
-        self._timed("swap_distributions", fluid.swap_distributions)
-
-        if self._ext is None:
-            fluid.force[...] = 0.0
-        else:
-            fluid.force[...] = self._ext
-
-        self.time_step += 1
-        if (
-            self.check_stability_every
-            and self.time_step % self.check_stability_every == 0
-        ):
-            fluid.validate_stable()
-            if structure is not None:
-                from repro.errors import StabilityError
-
-                for sheet in structure.sheets:
-                    if not np.isfinite(sheet.positions).all():
-                        raise StabilityError(
-                            "fiber positions contain non-finite values; the "
-                            "structure solver has become unstable (reduce "
-                            "stiffness or the time step)"
-                        )
-
-    def run(self, num_steps: int, observer=None) -> None:
-        """Run ``num_steps`` time steps, optionally reporting each step."""
-        if num_steps < 0:
-            raise ValueError(f"num_steps must be non-negative, got {num_steps}")
-        for _ in range(num_steps):
-            self.step()
-            if observer is not None:
-                observer(self.time_step, self)
-
-    # ------------------------------------------------------------------
-    def snapshot(self) -> dict[str, np.ndarray]:
-        """Shallow diagnostic snapshot of the headline state arrays."""
-        return {
-            "velocity": self.fluid.velocity.copy(),
-            "density": self.fluid.density.copy(),
-            "force": self.fluid.force.copy(),
-            "fiber_positions": (
-                [s.positions.copy() for s in self.structure.sheets]
-                if self.structure is not None
-                else []
-            ),
-        }

@@ -19,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.constants import DTYPE
+from repro.errors import StabilityError
 
 __all__ = [
     "DeltaKernel",
@@ -71,6 +72,12 @@ class DeltaKernel:
         if positions.ndim != 2 or positions.shape[1] != 3:
             raise ValueError(
                 f"positions must have shape (N, 3), got {positions.shape}"
+            )
+        if not np.isfinite(positions).all():
+            raise StabilityError(
+                "delta stencil requested at a non-finite fiber position; the "
+                "structure solver has become unstable (reduce stiffness or "
+                "the time step)"
             )
         s = self.support
         # Leftmost grid point of the support: for even supports the point

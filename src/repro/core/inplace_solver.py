@@ -28,36 +28,42 @@ two — ``BENCH_inplace.json``).
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Sequence
+from functools import partial
 
-import numpy as np
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.observe.tracer import Tracer
-
-from repro.constants import DT
-from repro.core import kernels
 from repro.core.coupling import update_velocity_fields_inplace
-from repro.core.ib import motion as _motion
-from repro.core.ib import spreading as _spreading
-from repro.core.ib.delta import DeltaKernel, default_delta
-from repro.core.ib.fiber import ImmersedStructure
-from repro.core.lbm.boundaries import Boundary, face_index, validate_boundaries
-from repro.core.lbm.fields import FluidGrid
 from repro.core.lbm.inplace import (
     aa_even_collide_swap,
     aa_odd_collide_stream,
     update_velocity_fields_aa,
 )
+from repro.core.step import SoloSolver, StencilCoupling, capture_plan
 from repro.errors import ConfigurationError
 
 __all__ = ["InplaceLBMIBSolver"]
 
 
-@dataclass
-class InplaceLBMIBSolver:
+def _even_sweep(fluid, capture, faces) -> None:
+    aa_even_collide_swap(fluid, capture=capture)
+    for boundary, layers in faces:
+        boundary.apply_aa_even(layers, fluid.df)
+
+
+def _odd_sweep(fluid, capture, faces) -> None:
+    aa_odd_collide_stream(fluid, capture=capture)
+    for boundary, layers in faces:
+        boundary.apply_fused(layers, fluid.df)
+
+
+def _even_velocity(fluid) -> None:
+    # Moments of the encoded lattice, taken with pull reads.
+    update_velocity_fields_aa(fluid, fluid.arena.vector("aa_momentum"))
+
+
+def _odd_velocity(fluid) -> None:
+    update_velocity_fields_inplace(fluid, fluid.arena.vector("aa_momentum"), df=fluid.df)
+
+
+class InplaceLBMIBSolver(SoloSolver):
     """Run the LBM-IB method on a single AA-pattern lattice.
 
     Constructor parameters mirror
@@ -66,18 +72,6 @@ class InplaceLBMIBSolver:
     (``FluidGrid(..., single_lattice=True)``).
     """
 
-    fluid: FluidGrid
-    structure: ImmersedStructure | None
-    delta: DeltaKernel = field(default_factory=default_delta)
-    boundaries: Sequence[Boundary] = field(default_factory=list)
-    dt: float = DT
-    kernel_timer: Callable[[str, float], None] | None = None
-    check_stability_every: int = 0
-    external_force: tuple[float, float, float] | None = None
-    fault_hook: Callable[[int, int], None] | None = None
-    tracer: "Tracer | None" = None
-    time_step: int = field(default=0, init=False)
-
     def __post_init__(self) -> None:
         if self.fluid.df_new is not None:
             raise ConfigurationError(
@@ -85,178 +79,34 @@ class InplaceLBMIBSolver:
                 "(FluidGrid(..., single_lattice=True)); a two-lattice grid "
                 "would silently waste the footprint the variant exists to save"
             )
-        validate_boundaries(list(self.boundaries))
-        self._stencil_cache = _spreading.StencilCache()
-        self._ext: np.ndarray | None = None
-        if self.external_force is not None:
-            self._ext = np.asarray(
-                self.external_force, dtype=self.fluid.force.dtype
-            ).reshape(3, 1, 1, 1)
-            self.fluid.force[...] = self._ext
-        self._build_capture_plan()
+        super().__post_init__()
 
-    def _build_capture_plan(self) -> None:
-        """Preallocate face buffers for boundaries that read df_post.
+    def _build_stages(self):
+        """One stage table per AA phase, indexed by ``fluid.aa_phase``.
 
-        Identical to the fused solver's plan: both phase kernels hand
-        every finalized post-collision slab to the capture hook during
-        the sweep — before any repair can clobber a face another
-        boundary still needs — so one plan serves even and odd steps.
+        Both phase kernels hand every finalized post-collision slab to
+        the capture hook during the sweep, so one capture plan serves
+        even and odd steps.  There is no kernel 9 and no pointer swap:
+        the single lattice already holds the step's state (encoded or
+        natural per ``aa_phase``).
         """
-        shape = self.fluid.shape
-        face_dtype = self.fluid.df.dtype
-        plan: dict[int, list[tuple[tuple, np.ndarray]]] = {}
-        self._aa_boundaries: list[tuple[Boundary, dict[int, np.ndarray]]] = []
-        for boundary in self.boundaries:
-            faces: dict[int, np.ndarray] = {}
-            deps = boundary.post_dependencies()
-            if deps:
-                idx = face_index(boundary.axis, boundary.side, shape)
-                face_shape = self.fluid.df[0][idx].shape
-                for direction in deps:
-                    buf = np.empty(face_shape, dtype=face_dtype)
-                    faces[direction] = buf
-                    plan.setdefault(int(direction), []).append((idx, buf))
-            self._aa_boundaries.append((boundary, faces))
-        self._capture_plan = plan
-        self._capture = self._capture_faces if plan else None
+        fluid = self.fluid
+        capture, faces = capture_plan(self.boundaries, fluid.df)
+        coupling = StencilCoupling(self.delta, self.dt)
+        spread = partial(coupling.spread, ((self.structure, fluid.force),))
+        move = partial(coupling.move, ((self.structure, fluid.velocity),))
+        even = (
+            ("aa_even_collide_swap", partial(_even_sweep, fluid, capture, faces)),
+            ("update_fluid_velocity", partial(_even_velocity, fluid)),
+        )
+        odd = (
+            ("aa_odd_collide_stream", partial(_odd_sweep, fluid, capture, faces)),
+            ("update_fluid_velocity", partial(_odd_velocity, fluid)),
+        )
+        return (
+            self._table_around(spread, even, move),
+            self._table_around(spread, odd, move),
+        )
 
-    def _capture_faces(self, direction: int, post: np.ndarray) -> None:
-        for idx, buf in self._capture_plan.get(direction, ()):
-            buf[...] = post[idx]
-
-    # ------------------------------------------------------------------
-    def _timed(self, name: str, fn: Callable[[], None]) -> None:
-        tracer = self.tracer
-        if tracer is None and self.kernel_timer is None:
-            fn()
-            return
-        start = time.perf_counter()
-        fn()
-        elapsed = time.perf_counter() - start
-        if self.kernel_timer is not None:
-            self.kernel_timer(name, elapsed)
-        if tracer is not None:
-            tracer.record(name, 0, start, elapsed, step=self.time_step)
-
-    def _even_step(self) -> None:
-        aa_even_collide_swap(self.fluid, capture=self._capture)
-        df = self.fluid.df
-        for boundary, faces in self._aa_boundaries:
-            boundary.apply_aa_even(faces, df)
-
-    def _odd_step(self) -> None:
-        aa_odd_collide_stream(self.fluid, capture=self._capture)
-        df = self.fluid.df
-        for boundary, faces in self._aa_boundaries:
-            boundary.apply_fused(faces, df)
-
-    def _spread_forces(self) -> None:
-        for sheet in self.structure.sheets:
-            _spreading.spread_forces(
-                sheet, self.delta, self.fluid.force, cache=self._stencil_cache
-            )
-
-    def _move_fibers(self) -> None:
-        for sheet in self.structure.sheets:
-            _motion.move_fibers(
-                sheet,
-                self.delta,
-                self.fluid.velocity,
-                dt=self.dt,
-                cache=self._stencil_cache,
-            )
-
-    # ------------------------------------------------------------------
-    def step(self) -> None:
-        """Advance one time step through the phase kernel due next."""
-        if self.fault_hook is not None:
-            self.fault_hook(0, self.time_step)
-        fluid, structure = self.fluid, self.structure
-
-        # --- IB related (kernels 1-4, unchanged physics) ---
-        if structure is not None:
-            self._timed(
-                "compute_bending_force_in_fibers",
-                lambda: kernels.compute_bending_force_in_fibers(structure),
-            )
-            self._timed(
-                "compute_stretching_force_in_fibers",
-                lambda: kernels.compute_stretching_force_in_fibers(structure),
-            )
-            self._timed(
-                "compute_elastic_force_in_fibers",
-                lambda: kernels.compute_elastic_force_in_fibers(structure),
-            )
-            self._stencil_cache.begin_step()
-            self._timed("spread_force_from_fibers_to_fluid", self._spread_forces)
-
-        # --- LBM related: one AA phase kernel = one time step ---
-        if fluid.aa_phase == 0:
-            self._timed("aa_even_collide_swap", self._even_step)
-            self._timed(
-                "update_fluid_velocity",
-                lambda: update_velocity_fields_aa(
-                    fluid, fluid.arena.vector("aa_momentum")
-                ),
-            )
-        else:
-            self._timed("aa_odd_collide_stream", self._odd_step)
-            self._timed(
-                "update_fluid_velocity",
-                lambda: update_velocity_fields_inplace(
-                    fluid, fluid.arena.vector("aa_momentum"), df=fluid.df
-                ),
-            )
-
-        # --- FSI coupling related ---
-        if structure is not None:
-            self._timed("move_fibers", self._move_fibers)
-            self._stencil_cache.end_step()
-        # No kernel 9 and no pointer swap: the single lattice already
-        # holds the step's state (encoded or natural per aa_phase).
-
-        if self._ext is None:
-            fluid.force[...] = 0.0
-        else:
-            fluid.force[...] = self._ext
-
-        self.time_step += 1
-        if (
-            self.check_stability_every
-            and self.time_step % self.check_stability_every == 0
-        ):
-            fluid.validate_stable()
-            if structure is not None:
-                from repro.errors import StabilityError
-
-                for sheet in structure.sheets:
-                    if not np.isfinite(sheet.positions).all():
-                        raise StabilityError(
-                            "fiber positions contain non-finite values; the "
-                            "structure solver has become unstable (reduce "
-                            "stiffness or the time step)"
-                        )
-
-    def run(self, num_steps: int, observer=None) -> None:
-        """Run ``num_steps`` time steps, optionally reporting each step."""
-        if num_steps < 0:
-            raise ValueError(f"num_steps must be non-negative, got {num_steps}")
-        for _ in range(num_steps):
-            self.step()
-            if observer is not None:
-                observer(self.time_step, self)
-
-    # ------------------------------------------------------------------
-    def snapshot(self) -> dict[str, np.ndarray]:
-        """Shallow diagnostic snapshot of the headline state arrays."""
-        return {
-            "velocity": self.fluid.velocity.copy(),
-            "density": self.fluid.density.copy(),
-            "force": self.fluid.force.copy(),
-            "fiber_positions": (
-                [s.positions.copy() for s in self.structure.sheets]
-                if self.structure is not None
-                else []
-            ),
-        }
+    def _stages(self):
+        return self._table[self.fluid.aa_phase]

@@ -2,212 +2,55 @@
 
 :class:`SequentialLBMIBSolver` creates/accepts an immersed structure and
 a 3D fluid grid, then executes the nine computational kernels repeatedly
-to simulate each time step.  Optional per-kernel timing hooks feed the
-gprof-style profiler used to regenerate paper Table I.
+to simulate each time step.  It is the reference every other variant is
+compared against, so its stages are the plain, uncached
+:mod:`repro.core.kernels` calls; a traced run records one span per
+kernel per step, which the gprof-style profiler renders as paper
+Table I.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Sequence
+from functools import partial
 
-import numpy as np
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.observe.tracer import Tracer
-
-from repro.constants import DT
 from repro.core import kernels
-from repro.core.ib.delta import DeltaKernel, default_delta
-from repro.core.ib.fiber import ImmersedStructure
-from repro.core.lbm.boundaries import Boundary, validate_boundaries
-from repro.core.lbm.fields import FluidGrid
+from repro.core.step import SoloSolver, StepObserver, kernel_stage
 
 __all__ = ["SequentialLBMIBSolver", "StepObserver"]
 
-#: Signature of a per-step observer: ``observer(step_index, solver)``.
-StepObserver = Callable[[int, "SequentialLBMIBSolver"], None]
+
+def _stream(fluid, boundaries) -> None:
+    kernels.stream_fluid_velocity_distribution(fluid)
+    for boundary in boundaries:
+        boundary.apply(fluid.df, fluid.df_new)
 
 
-@dataclass
-class SequentialLBMIBSolver:
+class SequentialLBMIBSolver(SoloSolver):
     """Run the LBM-IB method sequentially, one kernel after another.
 
-    Parameters
-    ----------
-    fluid:
-        The Eulerian fluid grid.
-    structure:
-        The Lagrangian immersed structure (fiber sheets).
-    delta:
-        Smoothed delta kernel; defaults to Peskin's 4-point cosine.
-    boundaries:
-        Face boundary conditions applied after streaming; an empty list
-        means fully periodic.
-    dt:
-        Time step (1 in lattice units).
-    kernel_timer:
-        Optional callable ``timer(kernel_name, seconds)`` invoked after
-        every kernel (used by :mod:`repro.profiling.gprof`).
-    check_stability_every:
-        Validate fields for NaN/Inf every this many steps (0 disables).
-    external_force:
-        Optional constant body-force density (3-vector) applied to every
-        fluid node on top of the spread elastic force; used to drive
-        channel flows (e.g. the Poiseuille validation).
-    fault_hook:
-        Optional ``hook(tid, step)`` called at the top of every step
-        (tid is always 0 here); installed by the resilience layer's
-        :class:`~repro.resilience.faults.FaultInjector` to corrupt
-        fields or kill the run at a chosen step.
-    tracer:
-        Optional :class:`~repro.observe.tracer.Tracer` receiving one
-        span per kernel per step (``None`` = telemetry disabled, the
-        zero-overhead default).
+    Constructor parameters are those of :class:`~repro.core.step.SoloSolver`.
     """
 
-    fluid: FluidGrid
-    structure: ImmersedStructure | None
-    delta: DeltaKernel = field(default_factory=default_delta)
-    boundaries: Sequence[Boundary] = field(default_factory=list)
-    dt: float = DT
-    kernel_timer: Callable[[str, float], None] | None = None
-    check_stability_every: int = 0
-    external_force: tuple[float, float, float] | None = None
-    fault_hook: Callable[[int, int], None] | None = None
-    tracer: "Tracer | None" = None
-    time_step: int = field(default=0, init=False)
-
-    def __post_init__(self) -> None:
-        validate_boundaries(list(self.boundaries))
-        if self.external_force is not None:
-            self._seed_external_force()
-
-    def _seed_external_force(self) -> None:
-        f = np.asarray(self.external_force, dtype=self.fluid.force.dtype)
-        self.fluid.force[...] = f[:, None, None, None]
-
-    # ------------------------------------------------------------------
-    def _timed(self, name: str, fn: Callable[[], None]) -> None:
-        tracer = self.tracer
-        if tracer is None and self.kernel_timer is None:
-            fn()
-            return
-        start = time.perf_counter()
-        fn()
-        elapsed = time.perf_counter() - start
-        if self.kernel_timer is not None:
-            self.kernel_timer(name, elapsed)
-        if tracer is not None:
-            tracer.record(name, 0, start, elapsed, step=self.time_step)
-
-    def _apply_boundaries(self) -> None:
-        for boundary in self.boundaries:
-            boundary.apply(self.fluid.df, self.fluid.df_new)
-
-    # ------------------------------------------------------------------
-    def step(self) -> None:
-        """Advance the simulation by one time step (the 9 kernels)."""
-        if self.fault_hook is not None:
-            self.fault_hook(0, self.time_step)
+    def _build_stages(self):
         fluid, structure, delta = self.fluid, self.structure, self.delta
-
-        # --- IB related ---
-        if structure is not None:
-            self._timed(
-                "compute_bending_force_in_fibers",
-                lambda: kernels.compute_bending_force_in_fibers(structure),
-            )
-            self._timed(
-                "compute_stretching_force_in_fibers",
-                lambda: kernels.compute_stretching_force_in_fibers(structure),
-            )
-            self._timed(
-                "compute_elastic_force_in_fibers",
-                lambda: kernels.compute_elastic_force_in_fibers(structure),
-            )
+        return self._table_around(
             # reset=False: the force field already holds exactly the
             # external body force (re-seeded at the end of every step).
-            self._timed(
-                "spread_force_from_fibers_to_fluid",
-                lambda: kernels.spread_force_from_fibers_to_fluid(
-                    structure, fluid, delta, reset=False
-                ),
-            )
-
-        # --- LBM related ---
-        self._timed(
-            "compute_fluid_collision",
-            lambda: kernels.compute_fluid_collision(fluid),
-        )
-        self._timed(
-            "stream_fluid_velocity_distribution",
-            lambda: (
-                kernels.stream_fluid_velocity_distribution(fluid),
-                self._apply_boundaries(),
-            )[0],
-        )
-
-        # --- FSI coupling related ---
-        self._timed(
-            "update_fluid_velocity",
-            lambda: kernels.update_fluid_velocity(fluid),
-        )
-        if structure is not None:
-            self._timed(
-                "move_fibers",
-                lambda: kernels.move_fibers(structure, fluid, delta, dt=self.dt),
-            )
-        self._timed(
-            "copy_fluid_velocity_distribution",
-            lambda: kernels.copy_fluid_velocity_distribution(fluid),
-        )
-        # The spread force has served kernels 5-8; reset it here so every
-        # solver variant (sequential, OpenMP, cube) leaves the same
-        # post-step state: the force field holds only the constant
-        # external body force (if any) between steps.
-        if self.external_force is None:
-            fluid.force[...] = 0.0
-        else:
-            self._seed_external_force()
-
-        self.time_step += 1
-        if (
-            self.check_stability_every
-            and self.time_step % self.check_stability_every == 0
-        ):
-            fluid.validate_stable()
-            if structure is not None:
-                from repro.errors import StabilityError
-
-                for sheet in structure.sheets:
-                    if not np.isfinite(sheet.positions).all():
-                        raise StabilityError(
-                            "fiber positions contain non-finite values; the "
-                            "structure solver has become unstable (reduce "
-                            "stiffness or the time step)"
-                        )
-
-    def run(self, num_steps: int, observer: StepObserver | None = None) -> None:
-        """Run ``num_steps`` time steps, optionally reporting each step."""
-        if num_steps < 0:
-            raise ValueError(f"num_steps must be non-negative, got {num_steps}")
-        for _ in range(num_steps):
-            self.step()
-            if observer is not None:
-                observer(self.time_step, self)
-
-    # ------------------------------------------------------------------
-    def snapshot(self) -> dict[str, np.ndarray]:
-        """Shallow diagnostic snapshot of the headline state arrays."""
-        return {
-            "velocity": self.fluid.velocity.copy(),
-            "density": self.fluid.density.copy(),
-            "force": self.fluid.force.copy(),
-            "fiber_positions": (
-                [s.positions.copy() for s in self.structure.sheets]
-                if self.structure is not None
-                else []
+            spread=partial(
+                kernels.spread_force_from_fibers_to_fluid,
+                structure,
+                fluid,
+                delta,
+                reset=False,
             ),
-        }
+            lattice=(
+                kernel_stage(kernels.compute_fluid_collision, fluid),
+                (
+                    "stream_fluid_velocity_distribution",
+                    partial(_stream, fluid, self.boundaries),
+                ),
+                kernel_stage(kernels.update_fluid_velocity, fluid),
+            ),
+            move=partial(kernels.move_fibers, structure, fluid, delta, dt=self.dt),
+            tail=(kernel_stage(kernels.copy_fluid_velocity_distribution, fluid),),
+        )

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import time
 import tracemalloc
-from collections import defaultdict
 from dataclasses import replace
 
 import numpy as np
@@ -34,6 +33,7 @@ import numpy as np
 from repro.api import Simulation
 from repro.config import StructureConfig
 from repro.experiments.workloads import scaled_profiling_config
+from repro.observe import Tracer
 
 __all__ = ["run_bench_fused", "render_bench_fused"]
 
@@ -53,20 +53,18 @@ def _measure_variant(
     if fluid_only:
         config = replace(config, structure=StructureConfig(kind="none"))
     sim = Simulation(config)
-    per_kernel: dict[str, float] = defaultdict(float)
+    tracer = Tracer()
     try:
         sim.run(warmup)
 
-        sim.solver.kernel_timer = lambda name, sec: per_kernel.__setitem__(
-            name, per_kernel[name] + sec
-        )
+        sim.solver.tracer = tracer
         start = time.perf_counter()
         sim.run(steps)
         wall = time.perf_counter() - start
 
         # Separate allocation pass so tracemalloc's overhead cannot
         # pollute the timing above.
-        sim.solver.kernel_timer = None
+        sim.solver.tracer = None
         tracemalloc.start()
         tracemalloc.reset_peak()
         sim.run(steps)
@@ -86,7 +84,9 @@ def _measure_variant(
         "step_seconds": wall / steps,
         "per_kernel_seconds": {
             name: total / steps
-            for name, total in sorted(per_kernel.items(), key=lambda kv: -kv[1])
+            for name, total in sorted(
+                tracer.flat_profile().seconds.items(), key=lambda kv: -kv[1]
+            )
         },
         "alloc_peak_bytes": int(peak),
         "alloc_retained_bytes": int(retained),

@@ -2,12 +2,10 @@
 
 ``gprof``  — flat per-kernel profile of the sequential solver (Table I)
 ``ompp``   — parallel-region profile and load imbalance (Table II)
-``timers`` — stopwatch utilities
 ``report`` — paper-style fixed-width table rendering
 """
 
 from repro.profiling.gprof import FlatProfile
 from repro.profiling.ompp import ParallelProfile, RegionStats
-from repro.profiling.timers import Stopwatch, Timer
 
-__all__ = ["FlatProfile", "ParallelProfile", "RegionStats", "Stopwatch", "Timer"]
+__all__ = ["FlatProfile", "ParallelProfile", "RegionStats"]

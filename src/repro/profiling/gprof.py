@@ -1,9 +1,8 @@
 """gprof-style flat profiling of the sequential solver (paper Table I).
 
-:class:`FlatProfile` plugs into
-:class:`~repro.core.solver.SequentialLBMIBSolver` as its
-``kernel_timer`` callback and accumulates per-kernel wall time; the
-resulting table ("kernel, percentage of total time", descending) is the
+:class:`FlatProfile` accumulates per-kernel wall time — usually the
+kernel spans of a traced run, through
+:meth:`~repro.observe.tracer.Tracer.flat_profile`; the resulting table ("kernel, percentage of total time", descending) is the
 library's reproduction of the paper's gprof analysis.
 """
 
@@ -25,7 +24,7 @@ class FlatProfile:
     calls: dict[str, int] = field(default_factory=lambda: defaultdict(int))
 
     def __call__(self, kernel: str, elapsed: float) -> None:
-        """Record one kernel invocation (the ``kernel_timer`` hook)."""
+        """Record one kernel invocation."""
         self.seconds[kernel] += elapsed
         self.calls[kernel] += 1
 

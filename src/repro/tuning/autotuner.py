@@ -26,6 +26,7 @@ additionally runs a tuned decision through
 from __future__ import annotations
 
 import statistics
+import time
 from dataclasses import dataclass, field
 
 from repro.config import SimulationConfig
@@ -109,6 +110,13 @@ class Autotuner:
     budget_seconds:
         Wall-clock budget for the probe rounds (the first round always
         completes so every probed candidate is measured at least once).
+
+    Attributes
+    ----------
+    clock:
+        The timer the probe rounds read, ``time.perf_counter`` by
+        default; replace it with a deterministic clock to make the
+        measured seconds independent of the host's speed.
     """
 
     def __init__(
@@ -132,6 +140,7 @@ class Autotuner:
         self.probe_warmup = probe_warmup
         self.probe_repeats = probe_repeats
         self.budget_seconds = budget_seconds
+        self.clock = time.perf_counter
 
     # ------------------------------------------------------------------
     def tune(
@@ -166,6 +175,7 @@ class Autotuner:
             warmup_steps=self.probe_warmup,
             repeats=self.probe_repeats,
             budget_seconds=self.budget_seconds,
+            clock=self.clock,
         )
         predicted_by_label = {p.candidate.label(): p.seconds for p in predictions}
         probe_records = []

@@ -93,6 +93,7 @@ def interleaved_min_seconds(
     runners: Sequence[Callable[[], None]],
     repeats: int = 3,
     budget_seconds: float | None = None,
+    clock: Callable[[], float] = time.perf_counter,
 ) -> tuple[list[float], int]:
     """Round-robin timing of ``runners``; per-runner min over rounds.
 
@@ -109,26 +110,28 @@ def interleaved_min_seconds(
     ``budget_seconds`` bounds the wall clock: after each completed
     round the elapsed time is checked and no new round starts beyond
     the budget (the first round always runs in full so every runner is
-    measured at least once).  Returns ``(min_seconds, rounds_done)``.
+    measured at least once).  ``clock`` reads seconds (injectable so a
+    test can make the timings deterministic).  Returns
+    ``(min_seconds, rounds_done)``.
     """
     if repeats < 1:
         raise ConfigurationError(f"repeats must be positive, got {repeats}")
     if not runners:
         raise ConfigurationError("no runners to time")
     best = [math.inf] * len(runners)
-    started = time.perf_counter()
+    started = clock()
     rounds_done = 0
     for _ in range(repeats):
         for i, runner in enumerate(runners):
-            t0 = time.perf_counter()
+            t0 = clock()
             runner()
-            elapsed = time.perf_counter() - t0
+            elapsed = clock() - t0
             if elapsed < best[i]:
                 best[i] = elapsed
         rounds_done += 1
         if (
             budget_seconds is not None
-            and time.perf_counter() - started >= budget_seconds
+            and clock() - started >= budget_seconds
         ):
             break
     return best, rounds_done

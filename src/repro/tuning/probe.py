@@ -22,6 +22,7 @@ metric (time to advance one simulation by one step).
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 from typing import Callable
 
@@ -139,8 +140,12 @@ def probe_candidates(
     warmup_steps: int = 1,
     repeats: int = 3,
     budget_seconds: float | None = None,
+    clock: Callable[[], float] = time.perf_counter,
 ) -> list[ProbeResult]:
     """Measure ``candidates`` on this machine; per-candidate min-of-R.
+
+    ``clock`` is the timer the interleaved rounds read (see
+    :func:`~repro.tuning.cube.interleaved_min_seconds`).
 
     Candidates whose configuration cannot be built for this workload
     (e.g. a cube edge the thread mesh cannot partition) are skipped —
@@ -177,6 +182,7 @@ def probe_candidates(
             [run for _, run, _, _ in built],
             repeats=repeats,
             budget_seconds=budget_seconds,
+            clock=clock,
         )
     finally:
         for _, _, close, _ in built:

@@ -1,11 +1,14 @@
 """Tests of the smoothed Dirac delta kernels."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.ib import delta as delta_mod
+from repro.errors import StabilityError
 
 KERNELS = [delta_mod.CosineDelta(), delta_mod.LinearDelta(), delta_mod.ThreePointDelta()]
 KERNEL_IDS = ["cosine", "linear", "3point"]
@@ -120,6 +123,16 @@ class TestStencil:
     def test_rejects_bad_positions_shape(self, kernel):
         with pytest.raises(ValueError, match=r"\(N, 3\)"):
             kernel.stencil(np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_position_raises_stability_error(self, kernel, bad):
+        positions = np.full((2, 3), 4.5)
+        positions[1, 2] = bad
+        with warnings.catch_warnings():
+            # The typed error must come before any NumPy cast warning.
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(StabilityError, match="non-finite"):
+                kernel.stencil(positions, grid_shape=(8, 8, 8))
 
     def test_default_delta_is_cosine(self):
         assert isinstance(delta_mod.default_delta(), delta_mod.CosineDelta)

@@ -128,14 +128,3 @@ class TestDiagnostics:
         # snapshot is a copy
         snap["velocity"][...] = 99
         assert not (grid.velocity == 99).any()
-
-    def test_kernel_timer_sees_all_nine_kernels(self):
-        grid, structure = _setup()
-        seen = {}
-        solver = SequentialLBMIBSolver(
-            grid, structure, kernel_timer=lambda k, t: seen.setdefault(k, 0)
-        )
-        solver.run(1)
-        from repro.core.kernels import KERNEL_NAMES
-
-        assert set(seen) == set(KERNEL_NAMES)

@@ -4,7 +4,9 @@ Locks the observability tentpole's tracer guarantees:
 
 * chrome-trace export is valid JSON with well-formed ``X`` events and
   per-thread spans that are disjoint or properly nested;
-* a traced sequential run emits all nine Algorithm-1 kernels per step;
+* a traced sequential run emits all nine Algorithm-1 kernels per step,
+  and every single-core variant records its exact ordered span list on
+  every step (the names ``perfbench/lbmbench/spans.py`` maps to layers);
 * a traced cube run tags spans with thread and cube ids;
 * the bridges reproduce the gprof/OmpP analyses from the same spans;
 * the disabled path (``tracer=None``) allocates nothing, mirroring the
@@ -153,7 +155,111 @@ class TestChromeExport:
         assert len(merged["traceEvents"]) == 4  # 2 meta + 2 spans
 
 
+_IB = [
+    "compute_bending_force_in_fibers",
+    "compute_stretching_force_in_fibers",
+    "compute_elastic_force_in_fibers",
+    "spread_force_from_fibers_to_fluid",
+]
+_BATCHED_IB = ["compute_fiber_forces", "spread_force_from_fibers_to_fluid"]
+
+
+def _steps(before, lattice, after):
+    """Per-step names with and without the immersed structure."""
+    return {
+        True: before + lattice + ["move_fibers"] + after,
+        False: lattice + after,
+    }
+
+
+#: Exact ordered kernel spans each single-core variant records per step;
+#: a list per step where consecutive steps differ (AA even/odd phases).
+_SPAN_VOCABULARY = {
+    "sequential": [
+        _steps(
+            _IB,
+            [
+                "compute_fluid_collision",
+                "stream_fluid_velocity_distribution",
+                "update_fluid_velocity",
+            ],
+            ["copy_fluid_velocity_distribution"],
+        )
+    ],
+    "fused": [
+        _steps(
+            _IB,
+            ["fused_collide_stream", "update_fluid_velocity"],
+            ["swap_distributions"],
+        )
+    ],
+    "inplace": [
+        _steps(_IB, ["aa_even_collide_swap", "update_fluid_velocity"], []),
+        _steps(_IB, ["aa_odd_collide_stream", "update_fluid_velocity"], []),
+    ],
+    "batched": [
+        _steps(
+            _BATCHED_IB,
+            ["batched_collide_stream", "update_fluid_velocity"],
+            ["swap_distributions"],
+        )
+    ],
+    "batched+guard": [
+        _steps(
+            _BATCHED_IB,
+            ["batched_collide_stream", "update_fluid_velocity"],
+            ["swap_distributions", "slot_guard"],
+        )
+    ],
+}
+
+
+def _traced_solver(variant, structure):
+    """A single-core solver of ``variant`` with a fresh tracer attached."""
+    config = _fsi_config(
+        solver=variant.split("+")[0],
+        structure=structure if structure is not None else StructureConfig(kind="none"),
+    )
+    if variant == "batched+guard":
+        from repro.batch import BatchedFluidGrid, BatchedLBMIBSolver, SlotGuard
+        from repro.core.lbm.fields import FluidGrid
+
+        solver = BatchedLBMIBSolver(
+            BatchedFluidGrid(config.fluid_shape, 1, tau=config.tau),
+            delta=config.build_delta(),
+            guard=SlotGuard(),
+        )
+        solver.load_slot(
+            0, FluidGrid(config.fluid_shape, tau=config.tau), config.build_structure()
+        )
+    else:
+        solver = Simulation(config).solver
+    solver.tracer = Tracer()
+    return solver
+
+
 class TestSequentialCoverage:
+    @pytest.mark.parametrize("with_structure", [True, False], ids=["fsi", "fluid_only"])
+    @pytest.mark.parametrize("variant", sorted(_SPAN_VOCABULARY))
+    def test_exact_per_step_span_vocabulary(self, variant, with_structure):
+        """Every single-core variant records the same kernel spans, in the
+        same order, on every step; the IB spans vanish without a structure."""
+        structure = (
+            StructureConfig(kind="flat_sheet", num_fibers=6, nodes_per_fiber=6)
+            if with_structure
+            else None
+        )
+        solver = _traced_solver(variant, structure)
+        expected = _SPAN_VOCABULARY[variant]
+        for step in range(4):
+            solver.tracer.clear()
+            solver.step()
+            names = [s.name for s in solver.tracer.spans]
+            assert names == expected[step % len(expected)][with_structure], (
+                f"{variant} step {step}"
+            )
+            assert {s.cat for s in solver.tracer.spans} <= {"kernel"}
+
     def test_all_nine_kernels_traced_every_step(self):
         """Every Algorithm-1 kernel appears as a span on every step."""
         telemetry = Telemetry()

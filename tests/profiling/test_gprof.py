@@ -52,11 +52,13 @@ class TestFlatProfile:
         from repro.core.ib import geometry
         from repro.core.lbm.fields import FluidGrid
         from repro.core.solver import SequentialLBMIBSolver
+        from repro.observe import Tracer
 
         grid = FluidGrid((8, 8, 8), tau=0.8)
         structure = geometry.flat_sheet((8, 8, 8), num_fibers=3, nodes_per_fiber=3)
-        profile = FlatProfile()
-        SequentialLBMIBSolver(grid, structure, kernel_timer=profile).run(3)
+        tracer = Tracer()
+        SequentialLBMIBSolver(grid, structure, tracer=tracer).run(3)
+        profile = tracer.flat_profile()
         assert len(profile.seconds) == 9
         assert all(c == 3 for c in profile.calls.values())
         assert abs(sum(profile.percentages().values()) - 100.0) < 1e-9

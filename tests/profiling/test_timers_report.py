@@ -1,54 +1,8 @@
-"""Tests of the timing utilities and table rendering."""
-
-import time
+"""Tests of the paper-style table rendering."""
 
 import pytest
 
 from repro.profiling.report import format_percent, format_seconds, render_table
-from repro.profiling.timers import Stopwatch, Timer
-
-
-class TestStopwatch:
-    def test_accumulates_episodes(self):
-        sw = Stopwatch()
-        sw.start()
-        time.sleep(0.01)
-        first = sw.stop()
-        sw.start()
-        sw.stop()
-        assert sw.elapsed >= first
-
-    def test_double_start_rejected(self):
-        sw = Stopwatch()
-        sw.start()
-        with pytest.raises(RuntimeError):
-            sw.start()
-        sw.stop()
-
-    def test_stop_without_start_rejected(self):
-        with pytest.raises(RuntimeError):
-            Stopwatch().stop()
-
-    def test_reset(self):
-        sw = Stopwatch()
-        sw.start()
-        sw.stop()
-        sw.reset()
-        assert sw.elapsed == 0.0
-
-    def test_reset_while_running_rejected(self):
-        sw = Stopwatch()
-        sw.start()
-        with pytest.raises(RuntimeError):
-            sw.reset()
-        sw.stop()
-
-
-class TestTimer:
-    def test_measures_block(self):
-        with Timer() as t:
-            time.sleep(0.01)
-        assert t.elapsed >= 0.009
 
 
 class TestRenderTable:

@@ -1,6 +1,8 @@
 """Tests of the full predict -> probe -> cache autotuner loop."""
 
+import itertools
 import math
+import statistics
 
 import pytest
 
@@ -61,12 +63,24 @@ class TestTuneLoop:
         assert again.decision.model_scale > 0
 
     def test_model_scale_recalibrates_toward_measurement(self):
-        report = _tuner().tune(CFG)
-        d = report.decision
-        # predicted ~100ms-scale (paper-calibrated C), measured ~ms-scale
-        # (NumPy on a tiny grid): the stored scale must shrink the model
-        # toward reality.
-        assert 0 < d.model_scale < 1
+        """The stored scale moves the model toward the measured time, in
+        both directions.  An injected clock makes every timed probe round
+        take exactly ``tick`` seconds, so the outcome does not depend on
+        how fast this host runs the probes."""
+        for tick, faster in ((1e-12, True), (1e6, False)):
+            tuner = _tuner()
+            ticks = itertools.count(step=tick)
+            tuner.clock = lambda: next(ticks)
+            report = tuner.tune(CFG)
+            predicted = {p.candidate.label(): p.seconds for p in report.predictions}
+            ratios = [r.seconds / predicted[r.candidate.label()] for r in report.probes]
+            assert ratios
+            # every probe measured below (above) its prediction ...
+            assert all((ratio < 1) == faster for ratio in ratios)
+            # ... so the scale shrinks (grows) the model toward it
+            scale = report.decision.model_scale
+            assert scale == pytest.approx(statistics.median(ratios))
+            assert (0 < scale < 1) if faster else (scale > 1)
 
     def test_variant_restriction_respected(self):
         report = _tuner().tune(CFG, variants=("fused",))

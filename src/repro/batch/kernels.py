@@ -11,7 +11,9 @@ ufunc in the same order* as its solo counterpart, applied to a
 * ``np.sum(df, axis=1)`` over the 19 directions performs the same
   in-order accumulation per slot as the solo ``axis=0`` sum;
 * the stacked ``np.matmul`` of the momentum GEMM runs one GEMM per
-  batch slice, identical to the solo call.
+  batch slice, identical to the solo call, and the mixed policy's
+  per-direction moment accumulation runs on ``swapaxes`` views of the
+  same buffers.
 
 Each slot of a batched step is therefore bit-identical to a solo
 sequential (and fused) step of the same state — the property the
@@ -28,11 +30,13 @@ from typing import Callable
 
 import numpy as np
 
-from repro.constants import DT, Q
+from repro.constants import Q
 from repro.batch.fields import BatchedFluidGrid
 from repro.core.backend import lattice_constants
+from repro.core.coupling import split_velocities
 from repro.core.lbm.fused import _COMPONENTS, _TRT_PAIRS, _feq_direction
 from repro.core.lbm.lattice import W
+from repro.core.lbm.macroscopic import accumulate_moments
 from repro.core.lbm.streaming import periodic_shift_table
 
 __all__ = ["batched_collide_stream", "batched_update_velocity_fields"]
@@ -180,35 +184,24 @@ def batched_update_velocity_fields(grid: BatchedFluidGrid) -> None:
 
     Mirrors :func:`repro.core.coupling.update_velocity_fields_inplace`
     with the batch axis: density and momentum moments of ``df_new``,
-    then the velocity-shift forcing split into the collision velocity
-    ``u* = (m + tau_odd F dt) / rho`` and the physical velocity
-    ``u = (m + F dt / 2) / rho``.
+    then :func:`~repro.core.coupling.split_velocities` on
+    component-leading views.
     """
     b = grid.batch
     df_new = grid.df_new
-    np.sum(df_new, axis=1, out=grid.density, dtype=grid.precision.compute)
     momentum = grid.scratch_vector("batch_momentum")
-    # Lattice vectors at the GEMM's natural dtype: float64 is the
-    # original table (bit-identical), pure float32 gets a float32 GEMM,
-    # and mixed promotes to a float64 reduction as required.
-    e_float, _ = lattice_constants(np.result_type(df_new.dtype, momentum.dtype))
-    np.matmul(
-        e_float.T,
-        df_new.reshape(b, Q, -1),
-        out=momentum.reshape(b, 3, -1),
+    np.sum(df_new, axis=1, out=grid.density, dtype=grid.precision.compute)
+    if df_new.dtype == momentum.dtype:
+        e_float, _ = lattice_constants(df_new.dtype)
+        np.matmul(e_float.T, df_new.reshape(b, Q, -1), out=momentum.reshape(b, 3, -1))
+    else:
+        # Mixed policy: direction by direction through one compute-dtype
+        # slab per slot (a stacked GEMM would promote every slot's whole
+        # lattice to float64 first).
+        accumulate_moments(
+            df_new.swapaxes(0, 1), momentum.swapaxes(0, 1), grid.scratch_scalar("batch_gather")
+        )
+    split_velocities(
+        momentum.swapaxes(0, 1), grid.force.swapaxes(0, 1), grid.tau_odd, grid.density,
+        grid.velocity.swapaxes(0, 1), grid.velocity_shifted.swapaxes(0, 1),
     )
-    rho = grid.density
-
-    shifted = grid.velocity_shifted
-    np.multiply(grid.force, grid.tau_odd * DT, out=shifted)
-    shifted += momentum
-
-    velocity = grid.velocity
-    np.multiply(grid.force, 0.5 * DT, out=velocity)
-    velocity += momentum
-
-    # Same-shape division per component (see the solo kernel's note on
-    # broadcast ufuncs falling back to the buffered inner loop).
-    for comp in range(3):
-        shifted[:, comp] /= rho
-        velocity[:, comp] /= rho

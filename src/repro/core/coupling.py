@@ -33,6 +33,7 @@ __all__ = [
     "update_velocity_fields",
     "update_velocity_fields_inplace",
     "shifted_velocities",
+    "split_velocities",
 ]
 
 
@@ -103,7 +104,9 @@ def update_velocity_fields_inplace(
     ----------
     momentum:
         Scratch buffer ``(3, Nx, Ny, Nz)`` receiving ``sum_i e_i f_i``
-        (typically ``fluid.arena.vector("momentum")``).
+        (typically ``fluid.arena.vector("momentum")``).  When its dtype
+        differs from ``df``'s (the mixed policy) the moments accumulate
+        per direction through the arena's ``aa_gather`` slab.
     df:
         Distribution buffer to take moments of.  Defaults to
         ``fluid.df_new`` (the fused solver's post-streaming buffer);
@@ -112,21 +115,43 @@ def update_velocity_fields_inplace(
     """
     if df is None:
         df = fluid.df_new
-    macroscopic.compute_density(df, out=fluid.density, dtype=fluid.precision.compute)
-    macroscopic.compute_momentum_density(df, out=momentum)
     rho = fluid.density
+    macroscopic.compute_density(df, out=rho, dtype=fluid.precision.compute)
+    if df.dtype == momentum.dtype:
+        macroscopic.compute_momentum_density(df, out=momentum)
+    else:
+        # Mixed policy: a float32 lattice into a float64 momentum,
+        # direction by direction through one compute-dtype slab (a GEMM
+        # would promote the whole lattice to float64 first).
+        macroscopic.accumulate_moments(df, momentum, fluid.arena.scalar("aa_gather"))
 
-    shifted = fluid.velocity_shifted
-    np.multiply(fluid.force, fluid.tau_odd * DT, out=shifted)
+    split_velocities(
+        momentum, fluid.force, fluid.tau_odd, rho, fluid.velocity, fluid.velocity_shifted
+    )
+
+
+def split_velocities(
+    momentum: np.ndarray,
+    force: np.ndarray,
+    tau_odd: float,
+    density: np.ndarray,
+    velocity: np.ndarray,
+    shifted: np.ndarray,
+) -> None:
+    """Kernel 7's forcing split, in place, from ready moments.
+
+    ``shifted = (m + tau_odd F dt) / rho`` and ``velocity = (m + F dt /
+    2) / rho``.  The component axis leads ``momentum``, ``force``,
+    ``velocity`` and ``shifted``; a batched caller passes
+    ``swapaxes(0, 1)`` views (elementwise ufuncs do not see strides).
+    """
+    np.multiply(force, tau_odd * DT, out=shifted)
     shifted += momentum
-
-    velocity = fluid.velocity
-    np.multiply(fluid.force, 0.5 * DT, out=velocity)
+    np.multiply(force, 0.5 * DT, out=velocity)
     velocity += momentum
-
     # Divide component-wise: an in-place ufunc with a *broadcast*
     # divisor falls back to numpy's buffered inner loop and allocates;
     # the same-shape form doesn't (and is elementwise identical).
     for comp in range(3):
-        shifted[comp] /= rho
-        velocity[comp] /= rho
+        shifted[comp] /= density
+        velocity[comp] /= density

@@ -23,6 +23,15 @@ count reaches the grid size and ``add_at`` otherwise.  The
 ``LBMIB_SCATTER`` environment variable (``auto``/``bincount``/
 ``add_at``, read at import) forces a specific implementation for
 benchmarking.
+
+Under the float32 and mixed policies the force field is float32 while
+the contributions stay float64 (fiber state is float64 under every
+policy).  ``bincount`` adds each component's float64 histogram straight
+into the target; ``add_at`` accumulates through a full-grid float64
+staging field that is cast into the target once.  Either way the
+spread reduction runs in double precision and the two methods stay
+bit-identical.  No other temporary is grid-sized: one contribution
+buffer serves all three components.
 """
 
 from __future__ import annotations
@@ -171,31 +180,36 @@ def scatter_flat(
         return target
     grid_shape = target.shape[1:]
     num_nodes = target[0].size
-    if scale != 1.0:
-        flat_w = flat_w * scale
     idx = flat_idx.ravel()
     if method is None:
         method = scatter_method(num_nodes, idx.size, target.dtype.itemsize)
-    # Sub-float64 targets accumulate through a float64 staging field and
-    # cast once at the end: the spread reduction keeps double precision
-    # (the mixed policy's contract) and — because each method then sums
-    # identical float64 contributions in identical order — bincount and
-    # add_at stay bit-identical at every storage dtype, not just f64.
-    accum = (
-        target
-        if target.dtype == np.float64
-        else np.zeros(target.shape, dtype=np.float64)  # backend-lint: ok (f64 reduction staging)
-    )
+    # The spread reduction runs in float64 at every storage dtype (the
+    # mixed policy's contract), and both methods round the same sums
+    # into the target once: bincount adds each float64 ``binned``
+    # component straight in, add_at into a sub-float64 target sums into
+    # a zeroed float64 staging field that is added at the end.  Both
+    # sums start from +0.0 in input order, so the methods stay
+    # bit-identical.
+    accum = target
+    if method == "add_at" and target.dtype != np.float64:
+        accum = np.zeros(target.shape, dtype=np.float64)  # backend-lint: ok (f64 reduction staging)
     if method == "add_at" and not accum.flags.c_contiguous:
         # add.at needs a flat in-place view of each component.
         method = "bincount"
+    # One contribution buffer for all three components, holding
+    # ``(w * s) * v``: multiplication commutes exactly, so this equals
+    # ``v * (w * s)`` bit for bit (and ``w * 1.0`` is ``w``).
+    contrib = np.empty(flat_w.shape, dtype=np.result_type(values, flat_w))
+    flat_contrib = contrib.reshape(-1)
     for comp in range(3):
-        contrib = (values[:, comp : comp + 1] * flat_w).ravel()
+        np.multiply(flat_w, scale, out=contrib)
+        contrib *= values[:, comp : comp + 1]
         if method == "add_at":
-            np.add.at(accum[comp].reshape(-1), idx, contrib)
+            np.add.at(accum[comp].reshape(-1), idx, flat_contrib)
         else:
-            binned = np.bincount(idx, weights=contrib, minlength=num_nodes)
+            binned = np.bincount(idx, weights=flat_contrib, minlength=num_nodes)
             accum[comp] += binned.reshape(grid_shape)
+            del binned  # one dense float64 histogram alive at a time
     if accum is not target:
         target += accum
     return target

@@ -50,19 +50,22 @@ the sweep, before any repair can clobber them.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
-from repro.constants import DT, Q
+from repro.constants import Q
+from repro.core.coupling import split_velocities
 from repro.core.lbm.fields import FluidGrid
 from repro.core.lbm.fused import (
     CaptureHook,
-    _COMPONENTS,
     _TRT_PAIRS,
     _direction_velocity,
     _feq_direction,
     _moments,
 )
 from repro.core.lbm.lattice import OPPOSITE, W
+from repro.core.lbm.macroscopic import accumulate_moments
 from repro.core.lbm.streaming import periodic_shift_table
 
 __all__ = [
@@ -407,41 +410,20 @@ def aa_odd_collide_stream(
 def update_velocity_fields_aa(fluid: FluidGrid, momentum: np.ndarray) -> None:
     """Allocation-free kernel 7 reading an AA-encoded lattice.
 
-    Numerically identical to
+    :func:`~repro.core.lbm.macroscopic.accumulate_moments` sums the
+    pull-gathered slabs in ascending direction order (the rest slab
+    ``df[0]`` is never moved by the encoding), so at float64 and float32
+    the result is identical to
     :func:`repro.core.coupling.update_velocity_fields_inplace` on the
-    decoded lattice: the density accumulates gathered slabs in
-    ascending direction order (replicating ``np.sum``'s outer-axis
-    accumulation) and the momentum adds/subtracts each slab per nonzero
-    lattice-velocity component (replicating the GEMM reduction of
-    :func:`repro.core.lbm.macroscopic.compute_momentum_density`).
+    decoded lattice.  Under the mixed policy the float32 density rounds
+    after every direction, which ``np.sum`` does only on grids larger
+    than NumPy's ufunc buffer.
     """
     _require_phase(fluid, 1, "update_velocity_fields_aa")
-    arena = fluid.arena
     df = fluid.df
-    rho = fluid.density
-    g = arena.scalar("aa_gather")
-    table = periodic_shift_table(fluid.shape)
-    np.copyto(rho, df[0])
-    momentum[...] = 0.0
-    for k in range(1, Q):
-        aa_gather_direction(df, k, g, table)
-        rho += g
-        for a, s in _COMPONENTS[k]:
-            if s > 0:
-                momentum[a] += g
-            else:
-                momentum[a] -= g
-
-    shifted = fluid.velocity_shifted
-    np.multiply(fluid.force, fluid.tau_odd * DT, out=shifted)
-    shifted += momentum
-
-    velocity = fluid.velocity
-    np.multiply(fluid.force, 0.5 * DT, out=velocity)
-    velocity += momentum
-
-    # Same-shape divides, as in update_velocity_fields_inplace (the
-    # broadcast form would allocate through numpy's buffered loop).
-    for comp in range(3):
-        shifted[comp] /= rho
-        velocity[comp] /= rho
+    gather = partial(aa_gather_direction, df, table=periodic_shift_table(fluid.shape))
+    accumulate_moments(df, momentum, fluid.arena.scalar("aa_gather"), gather, fluid.density)
+    split_velocities(
+        momentum, fluid.force, fluid.tau_odd, fluid.density, fluid.velocity,
+        fluid.velocity_shifted,
+    )

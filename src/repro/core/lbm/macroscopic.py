@@ -11,13 +11,22 @@ force correction of the Guo forcing scheme::
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
-from repro.constants import DT
+from repro.constants import DT, Q
 from repro.core.backend import lattice_constants
+from repro.core.lbm.fused import _COMPONENTS
 from repro.core.lbm.lattice import E_FLOAT
+from repro.errors import ConfigurationError
 
-__all__ = ["compute_density", "compute_velocity", "compute_momentum_density"]
+__all__ = [
+    "accumulate_moments",
+    "compute_density",
+    "compute_velocity",
+    "compute_momentum_density",
+]
 
 
 def compute_density(
@@ -37,28 +46,77 @@ def compute_density(
 def compute_momentum_density(df: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """First moment ``sum_i e_i f_i``; returns shape ``(3, *S)``.
 
-    With ``out`` given (and both arrays C-contiguous at one dtype) the
-    moment is computed as a direct GEMM into ``out`` — the
-    allocation-free form the fused hot path relies on; the lattice
-    vectors are cached per dtype so a pure-float32 grid runs a
-    float32 GEMM.  Mixed storage/accumulator dtypes fall back to the
-    float64-promoting ``tensordot``.
+    With ``out`` given the moment is computed as a direct GEMM into
+    ``out`` — the allocation-free form the fused hot path relies on; the
+    lattice vectors are cached per dtype so a pure-float32 grid runs a
+    float32 GEMM.  ``out`` must then be C-contiguous at ``df``'s dtype:
+    a float32 lattice with a float64 accumulator (the mixed policy)
+    takes :func:`accumulate_moments` instead.  Only the allocating
+    ``out=None`` form falls back to ``tensordot``, which promotes a
+    reduced-precision lattice to float64 whole.
     """
-    if (
-        out is not None
-        and df.flags.c_contiguous
-        and out.flags.c_contiguous
-        and df.dtype == out.dtype
-    ):
-        e_float, _ = lattice_constants(df.dtype)
-        q = df.shape[0]
-        np.matmul(e_float.T, df.reshape(q, -1), out=out.reshape(3, -1))
-        return out
-    mom = np.tensordot(E_FLOAT.T, df, axes=([1], [0]))
-    if out is not None:
-        out[...] = mom
-        return out
-    return mom
+    if out is None:
+        return np.tensordot(E_FLOAT.T, df, axes=([1], [0]))
+    if not (df.flags.c_contiguous and out.flags.c_contiguous and df.dtype == out.dtype):
+        raise ConfigurationError(
+            f"compute_momentum_density(out=) needs C-contiguous arrays at one "
+            f"dtype, got {df.dtype} into {out.dtype}; use accumulate_moments"
+        )
+    e_float, _ = lattice_constants(df.dtype)
+    q = df.shape[0]
+    np.matmul(e_float.T, df.reshape(q, -1), out=out.reshape(3, -1))
+    return out
+
+
+def accumulate_moments(
+    df: np.ndarray,
+    momentum: np.ndarray,
+    slab: np.ndarray,
+    load: Callable[[int, np.ndarray], object] | None = None,
+    density: np.ndarray | None = None,
+) -> None:
+    """Momentum ``sum_i e_i f_i`` (optionally density) of ``df``, direction by direction.
+
+    Each direction ``k >= 1`` is loaded into the scratch ``slab`` by
+    ``load(k, slab)`` — by default a cast-copy of ``df[k]``; the AA
+    kernel passes its pull-gather — and added to the momentum
+    components it carries.  Nothing is allocated, so a float32 lattice
+    is never promoted to float64 whole: with a float64 ``slab`` and
+    ``momentum`` (the mixed policy's compute dtype) the moment
+    accumulates in double precision slab by slab.  The result is
+    bit-identical to the momentum GEMM: every lattice-vector component
+    is -1, 0 or +1, so each product is exact and only the ascending
+    direction order of the additions matters.
+
+    ``density``, when given, accumulates the same slabs in the same
+    order at its own dtype (``rho = df[0]``, then ``rho += slab``).
+    Callers whose lattice is in the natural layout take the density
+    with :func:`compute_density` instead: under the mixed policy its
+    float64-accumulated ``np.sum`` into a float32 output rounds once on
+    grids that fit NumPy's ufunc buffer (8192 elements) and once per
+    direction on larger ones (observed with NumPy 2.4), which a
+    slab-by-slab sum cannot replicate bit for bit.
+
+    The direction axis leads ``df`` and the component axis leads
+    ``momentum``; a batched caller passes ``swapaxes(0, 1)`` views of
+    its ``(B, Q, ...)`` and ``(B, 3, ...)`` fields.
+    """
+    if load is None:
+        def load(k: int, out: np.ndarray) -> None:
+            np.copyto(out, df[k])
+
+    if density is not None:
+        np.copyto(density, df[0])
+    momentum[...] = 0.0
+    for k in range(1, Q):
+        load(k, slab)
+        if density is not None:
+            density += slab
+        for a, s in _COMPONENTS[k]:
+            if s > 0:
+                momentum[a] += slab
+            else:
+                momentum[a] -= slab
 
 
 def compute_velocity(

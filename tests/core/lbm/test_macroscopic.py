@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import reference
 from repro.core.lbm import equilibrium, macroscopic
+from repro.errors import ConfigurationError
 
 
 class TestDensity:
@@ -32,6 +33,64 @@ class TestMomentum:
         df = equilibrium.equilibrium(rho, u)
         mom = macroscopic.compute_momentum_density(df)
         np.testing.assert_allclose(mom, rho[None] * u, rtol=1e-10, atol=1e-14)
+
+
+class TestAccumulateMoments:
+    """The per-direction kernel-7 moments equal the reduction + GEMM."""
+
+    @staticmethod
+    def _lattice(rng, dtype, shape=(5, 4, 3), batch=None):
+        lead = () if batch is None else (batch,)
+        return (1.0 + 0.1 * rng.standard_normal(lead + (19,) + shape)).astype(dtype)
+
+    @pytest.mark.parametrize("storage", [np.float64, np.float32])
+    def test_bit_identical_to_density_and_gemm(self, rng, storage):
+        """float64, and mixed: a float32 lattice into float64 moments."""
+        df = self._lattice(rng, storage)
+        shape = df.shape[1:]
+        momentum = np.empty((3,) + shape)
+        density = np.empty(shape)
+        macroscopic.accumulate_moments(df, momentum, np.empty(shape), density=density)
+
+        ref_density = macroscopic.compute_density(df, dtype=np.float64)
+        ref_momentum = np.empty((3,) + shape)
+        macroscopic.compute_momentum_density(df.astype(np.float64), out=ref_momentum)
+        np.testing.assert_array_equal(density, ref_density)
+        np.testing.assert_array_equal(momentum, ref_momentum)
+        # the allocating API promotes through tensordot: same bits
+        np.testing.assert_array_equal(momentum, macroscopic.compute_momentum_density(df))
+
+    def test_custom_load_feeds_every_direction(self, rng):
+        df = self._lattice(rng, np.float64)
+        shape = df.shape[1:]
+        loaded = []
+
+        def load(k, out):
+            loaded.append(k)
+            np.copyto(out, df[k])
+
+        momentum = np.empty((3,) + shape)
+        macroscopic.accumulate_moments(df, momentum, np.empty(shape), load)
+        assert loaded == list(range(1, 19))
+        np.testing.assert_array_equal(momentum, macroscopic.compute_momentum_density(df))
+
+    def test_batched_swapaxes_views_match_each_slot(self, rng):
+        df = self._lattice(rng, np.float32, batch=3)
+        b, shape = df.shape[0], df.shape[2:]
+        momentum = np.empty((b, 3) + shape)
+        macroscopic.accumulate_moments(
+            df.swapaxes(0, 1), momentum.swapaxes(0, 1), np.empty((b,) + shape)
+        )
+        for slot in range(b):
+            np.testing.assert_array_equal(
+                momentum[slot], macroscopic.compute_momentum_density(df[slot])
+            )
+
+    def test_gemm_out_rejects_mixed_dtypes(self, rng):
+        df = self._lattice(rng, np.float32)
+        out = np.empty((3,) + df.shape[1:])
+        with pytest.raises(ConfigurationError, match="accumulate_moments"):
+            macroscopic.compute_momentum_density(df, out=out)
 
 
 class TestVelocity:

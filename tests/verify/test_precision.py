@@ -307,6 +307,65 @@ def test_float32_fluid_peak_is_half_of_float64():
     assert 0.4 < peak32 / peak64 < 0.62
 
 
+#: FSI case whose sheet is dense enough for the bincount spread at every
+#: precision: 11x11 nodes x 64 stencil points = 7,744 contributions
+#: against 3,456 grid nodes (the float32 crossover is 6,912).
+_DENSE_SHAPE, _DENSE_FIBERS = (24, 12, 12), 11
+
+
+def _step_alloc_peak(variant, precision):
+    """Largest traced allocation of one steady-state step (two steps, so
+    both AA phases of the in-place solver are covered)."""
+    config = SimulationConfig(
+        fluid_shape=_DENSE_SHAPE,
+        tau=0.8,
+        solver=variant,
+        precision=precision,
+        structure=StructureConfig(
+            kind="flat_sheet", num_fibers=_DENSE_FIBERS, nodes_per_fiber=_DENSE_FIBERS
+        ),
+    )
+    with Simulation(config, initial_fluid=_seeded_initial_fluid(config, 3)) as sim:
+        sim.run(3)
+        peaks = []
+        tracemalloc.start()
+        try:
+            for _ in range(2):
+                tracemalloc.reset_peak()
+                base, _ = tracemalloc.get_traced_memory()
+                sim.run(1)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+    return max(peaks)
+
+
+def test_dense_case_takes_the_bincount_spread():
+    from repro.core.ib.spreading import scatter_method
+
+    nodes = int(np.prod(_DENSE_SHAPE))
+    contributions = _DENSE_FIBERS**2 * 4**3
+    assert scatter_method(nodes, contributions, 4) == "bincount"
+    assert scatter_method(nodes, contributions, 8) == "bincount"
+
+
+def test_mixed_inplace_step_peak_matches_float64():
+    """Mixed kernel 7 accumulates per direction and the bincount spread
+    adds straight into the float32 force field: no whole-lattice
+    float64 promotion, no full-grid staging field."""
+    peak64 = _step_alloc_peak("inplace", "float64")
+    peak_mixed = _step_alloc_peak("inplace", "mixed")
+    assert peak_mixed <= 1.05 * peak64, (peak_mixed, peak64)
+
+
+def test_batched_mixed_step_peak_matches_float32():
+    """The batched mixed momentum runs per direction too, not through a
+    stacked GEMM that promotes every slot's lattice to float64."""
+    peak32 = _step_alloc_peak("batched", "float32")
+    peak_mixed = _step_alloc_peak("batched", "mixed")
+    assert peak_mixed <= 1.05 * peak32, (peak_mixed, peak32)
+
+
 # ----------------------------------------------------------------------
 # kernel-4 scatter: dispatch recalibration + forced bit-equality
 # ----------------------------------------------------------------------
@@ -325,27 +384,70 @@ def test_scatter_crossover_scales_with_itemsize():
     assert scatter_method(1000, 2000, 4) == "bincount"
 
 
+def _random_stencil(grid_shape, n=40, s=4):
+    from repro.core.ib.spreading import flatten_stencil
+
+    rng = np.random.default_rng(7)
+    indices = rng.integers(0, min(grid_shape), size=(n, s, 3))
+    weights = rng.random((n, s, s, s))
+    flat_idx, flat_w = flatten_stencil(indices, weights, grid_shape)
+    return flat_idx, flat_w, rng.standard_normal((n, 3))
+
+
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_forced_scatter_methods_bit_identical(dtype):
     """bincount and add_at stay bit-identical at every storage dtype:
-    sub-f64 targets accumulate through a shared float64 staging field,
-    so both methods sum identical doubles in identical order."""
-    from repro.core.ib.spreading import flatten_stencil, scatter_flat
+    add_at into a sub-f64 target accumulates through a float64 staging
+    field and bincount adds its float64 histogram straight in, so both
+    round the same float64 sums once — with and without the area scale."""
+    from repro.core.ib.spreading import scatter_flat
 
-    rng = np.random.default_rng(7)
     grid_shape = (8, 8, 8)
-    n, s = 40, 4
-    indices = rng.integers(0, 8, size=(n, s, 3))
-    weights = rng.random((n, s, s, s))
-    flat_idx, flat_w = flatten_stencil(indices, weights, grid_shape)
-    values = rng.standard_normal((n, 3))
+    flat_idx, flat_w, values = _random_stencil(grid_shape)
+    for scale in (1.0, 0.37):
+        target_a = np.zeros((3,) + grid_shape, dtype=dtype)
+        target_b = np.zeros_like(target_a)
+        scatter_flat(flat_idx, flat_w, values, target_a, scale=scale, method="add_at")
+        scatter_flat(flat_idx, flat_w, values, target_b, scale=scale, method="bincount")
+        assert target_a.dtype == dtype
+        np.testing.assert_array_equal(target_a, target_b, err_msg=f"scale={scale}")
 
-    target_a = np.zeros((3,) + grid_shape, dtype=dtype)
-    target_b = np.zeros_like(target_a)
-    scatter_flat(flat_idx, flat_w, values, target_a, method="add_at")
-    scatter_flat(flat_idx, flat_w, values, target_b, method="bincount")
-    assert target_a.dtype == dtype
-    np.testing.assert_array_equal(target_a, target_b)
+
+@pytest.mark.parametrize("precision", ["float32", "mixed"])
+def test_forced_scatter_methods_bit_identical_through_the_solver(precision, monkeypatch):
+    from repro.core.ib import spreading
+
+    config = _config("inplace", precision)
+    states = []
+    for method in ("add_at", "bincount"):
+        monkeypatch.setattr(spreading, "_scatter_override", method)
+        with Simulation(config, initial_fluid=_seeded_initial_fluid(config, 5)) as sim:
+            sim.run(4)
+            states.append({name: getattr(sim.fluid, name).copy() for name in _FIELDS})
+    for name in _FIELDS:
+        np.testing.assert_array_equal(states[0][name], states[1][name], err_msg=name)
+
+
+def test_bincount_scatter_into_float32_needs_no_full_grid_staging():
+    """The bincount path allocates one float64 histogram component at a
+    time plus one contribution buffer — less than the full-grid float64
+    vector staging field it used to build."""
+    from repro.core.ib.spreading import scatter_flat
+
+    grid_shape = (32, 32, 32)
+    flat_idx, flat_w, values = _random_stencil(grid_shape)
+    target = np.zeros((3,) + grid_shape, dtype=np.float32)
+    staging_bytes = 3 * int(np.prod(grid_shape)) * 8
+    scatter_flat(flat_idx, flat_w, values, target, scale=0.5, method="bincount")  # warm-up
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base, _ = tracemalloc.get_traced_memory()
+        scatter_flat(flat_idx, flat_w, values, target, scale=0.5, method="bincount")
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < staging_bytes, (peak, staging_bytes)
 
 
 # ----------------------------------------------------------------------

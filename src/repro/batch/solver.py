@@ -46,7 +46,7 @@ from repro.core.ib.delta import DeltaKernel, default_delta
 from repro.core.ib.fiber import ImmersedStructure
 from repro.core.lbm.boundaries import Boundary, validate_boundaries
 from repro.core.lbm.fields import FluidGrid
-from repro.core.step import StencilCoupling, StepDriver, capture_plan
+from repro.core.step import StencilCoupling, StepDriver, capture_plan, run_stages
 from repro.batch.fields import BatchedFluidGrid
 from repro.batch.kernels import (
     batched_collide_stream,
@@ -205,7 +205,9 @@ class BatchedLBMIBSolver(StepDriver):
             if self.active[slot]:
                 self.slot_steps[slot] += 1
         if self.guard is not None:
-            self._run_stages(_GUARD_STAGE, self)
+            run_stages(
+                _GUARD_STAGE, self.tracer, 0, self.time_step, "kernel", self
+            )
 
     def _snapshot_source(self):
         """Slot 0 (solo-solver interface parity)."""

@@ -8,9 +8,11 @@ axis).  A variant therefore supplies only an ordered table of
 :class:`StepDriver` owns the rest of a step, each exactly once:
 
 * the fault hook at the top of the step;
-* the stage loop and its single instrumentation site — a bare call
-  untraced, one :meth:`~repro.observe.tracer.Tracer.record` per stage
-  traced;
+* the stage loop through :func:`run_stages`, the single instrumentation
+  site — a bare call untraced, one
+  :meth:`~repro.observe.tracer.Tracer.record` per stage traced (the
+  distributed rank loops run their per-rank stage tables through it
+  too);
 * the force reset (or external-force re-seed) after the step;
 * the ``time_step`` increment;
 * :meth:`~StepDriver.run` and :meth:`~StepDriver.snapshot`.
@@ -51,13 +53,40 @@ __all__ = [
     "StepObserver",
     "capture_plan",
     "kernel_stage",
+    "run_stages",
 ]
 
-#: One named stage of a time step: ``(span name, callable)``; a variant's
-#: table holds zero-argument callables.
-Stage = tuple[str, Callable[[], None]]
+#: One named stage of a time step: ``(span name, callable)``; the
+#: callable takes the extra arguments :func:`run_stages` passes (none for
+#: a single-core variant's table, the step for a rank's phase table).
+Stage = tuple[str, Callable[..., None]]
 #: Signature of a per-step observer: ``observer(step_index, solver)``.
 StepObserver = Callable[[int, "StepDriver"], None]
+
+
+def run_stages(
+    stages: Iterable[Stage],
+    tracer: "Tracer | None",
+    tid: int,
+    step: int,
+    cat: str,
+    *args,
+) -> None:
+    """Call each stage with ``args``, in order: the one timing site.
+
+    Untraced (``tracer is None``) a stage is a bare call; traced, each
+    stage records one span ``(name, cat, tid, step)``.
+    """
+    if tracer is None:
+        for _, stage in stages:
+            stage(*args)
+        return
+    for name, stage in stages:
+        start = time.perf_counter()
+        stage(*args)
+        tracer.record(
+            name, tid, start, time.perf_counter() - start, step=step, cat=cat
+        )
 
 
 def kernel_stage(kernel: Callable[..., None], *args, **kwargs) -> Stage:
@@ -97,24 +126,11 @@ class StepDriver:
     def _after_step(self) -> None:
         """Variant bookkeeping once ``time_step`` has advanced."""
 
-    def _run_stages(self, stages: tuple[Stage, ...], *args) -> None:
-        """Call each stage with ``args``, in order: the one timing site."""
-        tracer = self.tracer
-        if tracer is None:
-            for _, stage in stages:
-                stage(*args)
-            return
-        step = self.time_step
-        for name, stage in stages:
-            start = time.perf_counter()
-            stage(*args)
-            tracer.record(name, 0, start, time.perf_counter() - start, step=step)
-
     def step(self) -> None:
         """Advance the simulation by one time step (the 9 kernels)."""
         if self.fault_hook is not None:
             self.fault_hook(0, self.time_step)
-        self._run_stages(self._stages())
+        run_stages(self._stages(), self.tracer, 0, self.time_step, "kernel")
         # The spread force has served kernels 5-8; reset it here so every
         # solver variant leaves the same post-step state: the force field
         # holds only the constant external body force (if any).

@@ -28,7 +28,6 @@ distributed-cube.
 
 from __future__ import annotations
 
-import time
 from typing import Callable
 
 import numpy as np
@@ -41,6 +40,7 @@ from repro.core.ib.spreading import flatten_stencil
 from repro.core.lbm.boundaries import Boundary, validate_boundaries
 from repro.core.lbm.fields import FluidGrid
 from repro.core.lbm.lattice import E, Q
+from repro.core.step import Stage, run_stages
 from repro.distributed.comm import RankComm, SimulatedComm
 from repro.errors import ConfigurationError, PartitionError
 from repro.parallel.cube_solver import CubeLBMIBSolver
@@ -157,7 +157,6 @@ class HybridCubeLBMIBSolver:
                 delta=self.delta,
                 dt=dt,
                 use_locks=False,  # single thread per rank
-                trace=False,
                 external_force=external_force,
             )
             self._engines.append(engine)
@@ -274,25 +273,6 @@ class HybridCubeLBMIBSolver:
     # ------------------------------------------------------------------
     # driver
     # ------------------------------------------------------------------
-    def _phase(
-        self, name: str, rank: int, step: int, fn: Callable[[], None]
-    ) -> None:
-        """Run one rank-loop phase, emitting a span when tracing."""
-        tracer = self.tracer
-        if tracer is None:
-            fn()
-            return
-        start = time.perf_counter()
-        fn()
-        tracer.record(
-            name,
-            rank,
-            start,
-            time.perf_counter() - start,
-            step=step,
-            cat="phase",
-        )
-
     def _halo_exchange(self, rank: int, rc: RankComm, step: int) -> None:
         """Exchange the y/z-rolled boundary populations of ``df``."""
         right = (rank + 1) % self.num_ranks
@@ -313,63 +293,41 @@ class HybridCubeLBMIBSolver:
         self._scatter_df_new_plane(rank, 0, _PLUS_X, rc.recv(left, tag_r))
         self._scatter_df_new_plane(rank, last, _MINUS_X, rc.recv(right, tag_l))
 
-    def _rank_loop(self, rank: int, num_steps: int) -> None:
+    def _rank_stages(self, rank: int) -> tuple[Stage, ...]:
+        """The rank's phase table; every stage takes the time step."""
         rc = self.comm.rank_comm(rank)
         engine = self._engines[rank]
-        cubes = engine.cubes
-        has_structure = self._structures[rank] is not None
+        num_cubes = engine.cubes.num_cubes
 
-        def all_cubes(op) -> Callable[[], None]:
-            return lambda: [op(c) for c in range(cubes.num_cubes)]
+        def all_cubes(op) -> Callable[[int], None]:
+            def run(step: int) -> None:
+                for c in range(num_cubes):
+                    op(c)
 
-        for local_step in range(num_steps):
-            step = self.time_step + local_step
-            if has_structure:
-                self._phase(
-                    "fiber_forces_and_spread",
-                    rank,
-                    step,
-                    lambda: self._spread_local(rank),
-                )
+            return run
 
-            # loop 2 (cube-centric): fused collide + stream, all own cubes
-            self._phase(
-                "compute_fluid_collision", rank, step, all_cubes(engine._collide_cube)
-            )
-            self._phase(
-                "stream_fluid_velocity_distribution",
-                rank,
-                step,
-                all_cubes(engine._stream_cube),
-            )
-
+        ib = self._structures[rank] is not None
+        spread = ("fiber_forces_and_spread", lambda step: self._spread_local(rank))
+        move = ("move_fibers", lambda step: self._move_fibers_allreduce(rank, rc))
+        return (
+            *([spread] if ib else []),
+            # loop 2 (cube-centric): collide + stream, all own cubes
+            ("compute_fluid_collision", all_cubes(engine._collide_cube)),
+            ("stream_fluid_velocity_distribution", all_cubes(engine._stream_cube)),
             # halo exchange: y/z-rolled boundary populations of df
-            self._phase(
-                "halo_exchange",
-                rank,
-                step,
-                lambda: self._halo_exchange(rank, rc, step),
-            )
-
+            ("halo_exchange", lambda step: self._halo_exchange(rank, rc, step)),
             # loop 3: boundaries + velocity update per cube
-            self._phase(
-                "update_fluid_velocity", rank, step, all_cubes(engine._update_cube)
-            )
+            ("update_fluid_velocity", all_cubes(engine._update_cube)),
+            # loops 4 + 5
+            *([move] if ib else []),
+            ("copy_fluid_velocity_distribution", all_cubes(engine._copy_cube)),
+        )
 
-            # loop 4 + 5
-            if has_structure:
-                self._phase(
-                    "move_fibers",
-                    rank,
-                    step,
-                    lambda: self._move_fibers_allreduce(rank, rc),
-                )
-            self._phase(
-                "copy_fluid_velocity_distribution",
-                rank,
-                step,
-                all_cubes(engine._copy_cube),
-            )
+    def _rank_loop(self, rank: int, num_steps: int) -> None:
+        stages = self._rank_stages(rank)
+        tracer = self.tracer
+        for step in range(self.time_step, self.time_step + num_steps):
+            run_stages(stages, tracer, rank, step, "phase", step)
 
     def run(self, num_steps: int) -> None:
         """Advance ``num_steps`` steps across all cube-layout ranks."""

@@ -23,9 +23,6 @@ shared-memory programs.
 
 from __future__ import annotations
 
-import time
-from typing import Callable
-
 import numpy as np
 
 from repro.constants import DT, DTYPE
@@ -39,6 +36,7 @@ from repro.core.lbm import macroscopic as _macroscopic
 from repro.core.lbm.boundaries import Boundary, validate_boundaries
 from repro.core.lbm.fields import FluidGrid
 from repro.core.lbm.lattice import E, Q
+from repro.core.step import Stage, run_stages
 from repro.distributed.comm import RankComm, SimulatedComm
 from repro.errors import ConfigurationError
 from repro.parallel.executor import run_spmd
@@ -172,7 +170,8 @@ class DistributedLBMIBSolver:
         )
 
     def _stream_exchange(self, rank: int, rc: RankComm, step: int) -> None:
-        """Kernel 6 with halo exchange of the rank-crossing populations."""
+        """Kernel 6 with halo exchange of the rank-crossing populations,
+        then the physical boundaries of the faces this rank owns."""
         grid = self._grids[rank]
         ny, nz = grid.shape[1], grid.shape[2]
         right = (rank + 1) % self.num_ranks
@@ -211,6 +210,7 @@ class DistributedLBMIBSolver:
             grid.df_new[i, 0] = in_left[slot]
         for slot, i in enumerate(_MINUS_X):
             grid.df_new[i, -1] = in_right[slot]
+        self._apply_boundaries_local(rank)
 
     def _apply_boundaries_local(self, rank: int) -> None:
         grid = self._grids[rank]
@@ -265,71 +265,29 @@ class DistributedLBMIBSolver:
     # ------------------------------------------------------------------
     # driver
     # ------------------------------------------------------------------
-    def _phase(
-        self, name: str, rank: int, step: int, fn: Callable[[], None]
-    ) -> None:
-        """Run one rank-loop phase, emitting a span when tracing."""
-        tracer = self.tracer
-        if tracer is None:
-            fn()
-            return
-        start = time.perf_counter()
-        fn()
-        tracer.record(
-            name,
-            rank,
-            start,
-            time.perf_counter() - start,
-            step=step,
-            cat="phase",
+    def _rank_stages(self, rank: int) -> tuple[Stage, ...]:
+        """The rank's phase table; every stage takes the time step."""
+        rc = self.comm.rank_comm(rank)
+        ib = self._structures[rank] is not None
+        spread = ("fiber_forces_and_spread", lambda step: self._spread_local(rank))
+        move = ("move_fibers", lambda step: self._move_fibers_allreduce(rank, rc))
+        return (
+            *([spread] if ib else []),
+            ("compute_fluid_collision", lambda step: self._collide_local(rank)),
+            (
+                "stream_and_halo_exchange",
+                lambda step: self._stream_exchange(rank, rc, step),
+            ),
+            ("update_fluid_velocity", lambda step: self._update_local(rank)),
+            *([move] if ib else []),
+            ("copy_fluid_velocity_distribution", lambda step: self._copy_local(rank)),
         )
 
     def _rank_loop(self, rank: int, num_steps: int) -> None:
-        rc = self.comm.rank_comm(rank)
-        has_structure = self._structures[rank] is not None
-        for local_step in range(num_steps):
-            step = self.time_step + local_step
-            if has_structure:
-                self._phase(
-                    "fiber_forces_and_spread",
-                    rank,
-                    step,
-                    lambda: self._spread_local(rank),
-                )
-            self._phase(
-                "compute_fluid_collision",
-                rank,
-                step,
-                lambda: self._collide_local(rank),
-            )
-            self._phase(
-                "stream_and_halo_exchange",
-                rank,
-                step,
-                lambda: (
-                    self._stream_exchange(rank, rc, step),
-                    self._apply_boundaries_local(rank),
-                )[0],
-            )
-            self._phase(
-                "update_fluid_velocity",
-                rank,
-                step,
-                lambda: self._update_local(rank),
-            )
-            if has_structure:
-                self._phase(
-                    "move_fibers",
-                    rank,
-                    step,
-                    lambda: self._move_fibers_allreduce(rank, rc),
-                )
-            self._phase(
-                "copy_fluid_velocity_distribution",
-                rank,
-                step,
-                lambda: self._copy_local(rank),
-            )
+        stages = self._rank_stages(rank)
+        tracer = self.tracer
+        for step in range(self.time_step, self.time_step + num_steps):
+            run_stages(stages, tracer, rank, step, "phase", step)
 
     def run(self, num_steps: int) -> None:
         """Advance ``num_steps`` steps across all ranks."""

@@ -122,7 +122,8 @@ def distribution_sweep(steps: int = 4) -> list[AblationResult]:
 
 
 def lock_overhead(steps: int = 4) -> list[AblationResult]:
-    """Owner locks on vs off (numerics identical, overhead differs)."""
+    """Owner locks on vs off (numerics identical, overhead differs);
+    with them off, force spreading is serialized by one plain lock."""
     results = []
     for use_locks in (True, False):
         config = _base_config()

@@ -7,8 +7,8 @@ first-class telemetry subsystem that subsumes the ad-hoc pieces under
 :mod:`repro.profiling`:
 
 ``tracer``   — span-based per-kernel/per-cube/per-thread timelines with
-               ``chrome://tracing`` export and bridges to the gprof /
-               OmpP analyses;
+               ``chrome://tracing`` export and the gprof / OmpP
+               renderings, every solver's only timing path;
 ``metrics``  — a counters/gauges/histograms registry with JSON snapshot
                round-trip;
 ``gate``     — the benchmark-regression gate
@@ -24,7 +24,7 @@ object the :class:`~repro.api.Simulation` facade accepts::
     sim = Simulation(SimulationConfig(fluid_shape=(16, 16, 16)),
                      telemetry=telemetry)
     sim.run(10)
-    telemetry.collect(sim)                   # barrier/lock/trace stats
+    telemetry.collect(sim)                   # barrier/lock/kernel stats
     telemetry.tracer.save_chrome_trace("trace.json")
     telemetry.metrics.save("metrics.json")
 
@@ -95,9 +95,11 @@ class Telemetry:
 
         Harvests whatever the underlying solver variant exposes:
         instrumented-barrier crossings and wait times, owner-lock
-        acquisition/contention counts, the executed-task count of the
-        async scheduler, and per-kernel busy seconds from the execution
-        trace.  Call after :meth:`~repro.api.Simulation.run`.
+        acquisition/contention counts and the executed-task count of the
+        async scheduler.  From this bundle's own tracer it takes the
+        per-kernel thread-seconds and the time-based whole-program load
+        imbalance of the ``cat == "kernel"`` spans (no gauge when there
+        are none).  Call after :meth:`~repro.api.Simulation.run`.
         """
         # Accept a Simulation facade or a bare solver object; never
         # touch Simulation.solver (it force-builds the lazy variants).
@@ -125,10 +127,13 @@ class Telemetry:
         tasks = getattr(solver, "tasks_executed", None)
         if tasks:
             self.metrics.counter("parallel.tasks_executed").inc(int(tasks))
-        trace = getattr(solver, "trace", None)
-        if trace is not None:
-            for kernel, seconds in trace.seconds_by_kernel().items():
-                self.metrics.histogram(f"kernel.{kernel}.seconds").observe(seconds)
+        profile = self.tracer.parallel_profile()
+        regions = profile.region_stats()
+        for region in regions:
+            self.metrics.histogram(f"kernel.{region.name}.seconds").observe(
+                region.total_seconds
+            )
+        if regions:
             self.metrics.gauge("parallel.load_imbalance").set(
-                trace.load_imbalance()
+                profile.whole_program_imbalance()
             )

@@ -12,15 +12,15 @@ from any solver variant and exports them three ways:
   makes barrier wait and load imbalance visible at a glance;
 * a gprof-style :class:`~repro.profiling.gprof.FlatProfile`
   (:meth:`Tracer.flat_profile`) — the Table I analysis;
-* an OmpP-style :class:`~repro.profiling.ompp.ParallelProfile` via an
-  :class:`~repro.parallel.trace.ExecutionTrace` bridge
-  (:meth:`Tracer.execution_trace` / :meth:`Tracer.parallel_profile`) —
-  the Table II analysis.
+* an OmpP-style :class:`~repro.profiling.ompp.ParallelProfile` over
+  the kernel spans (:meth:`Tracer.parallel_profile`) — the Table II
+  analysis.
 
-The disabled path is a ``None`` tracer attribute on the solvers: the
-hot loops test ``if tracer is not None`` and skip all bookkeeping, so
-an untraced run pays one attribute load and one pointer comparison per
-instrumentation site (measured < 5% on the fused whole-step benchmark).
+The tracer is every solver's only timing path.  The disabled path is a
+``None`` tracer attribute on the solvers: the hot loops test ``if
+tracer is not None`` and skip all bookkeeping, so an untraced run pays
+one attribute load and one pointer comparison per instrumentation site
+(measured < 5% on the fused whole-step benchmark) and records nothing.
 """
 
 from __future__ import annotations
@@ -219,7 +219,7 @@ class Tracer:
         save_chrome_trace(path, self.to_chrome_trace())
 
     # ------------------------------------------------------------------
-    # unification bridges to the existing profilers
+    # gprof / OmpP renderings
     # ------------------------------------------------------------------
     def flat_profile(self, cat: str = "kernel"):
         """Aggregate spans into a gprof-style flat profile (Table I)."""
@@ -231,28 +231,11 @@ class Tracer:
                 profile(s.name, s.duration)
         return profile
 
-    def execution_trace(self, num_threads: int | None = None, cat: str = "kernel"):
-        """Bridge to the parallel layer's :class:`ExecutionTrace`.
-
-        Work-item counts are not tracked by spans, so they are reported
-        as zero — the time-based analyses (region stats, imbalance by
-        time) are exact, the work-based ones degenerate to zero.
-        """
-        from repro.parallel.trace import ExecutionTrace
-
-        spans = [s for s in self.spans if s.cat == cat]
-        if num_threads is None:
-            num_threads = max((s.tid for s in spans), default=0) + 1
-        trace = ExecutionTrace(num_threads)
-        for s in spans:
-            trace.record(s.step, s.name, s.tid, s.duration, 0)
-        return trace
-
-    def parallel_profile(self, num_threads: int | None = None, barriers=None):
-        """OmpP-style per-region profile over the recorded spans (Table II)."""
+    def parallel_profile(self, barriers=None):
+        """OmpP-style per-region profile over the kernel spans (Table II)."""
         from repro.profiling.ompp import ParallelProfile
 
-        return ParallelProfile(self.execution_trace(num_threads), barriers)
+        return ParallelProfile(self.spans, barriers)
 
 
 def save_chrome_trace(path: str | os.PathLike, trace: dict) -> None:

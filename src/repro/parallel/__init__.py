@@ -14,7 +14,9 @@
 Supporting modules: ``partition`` (slabs), ``cubes`` (cube storage),
 ``thread_mesh`` + ``distribution`` (``cube2thread``/``fiber2thread``),
 ``barrier``/``locks`` (instrumented synchronization), ``executor``
-(fork-join pool and SPMD launch), ``trace`` (per-kernel event records).
+(fork-join pool and SPMD launch).  The solvers time themselves only
+through an optional :class:`~repro.observe.tracer.Tracer` (their
+``tracer`` attribute; ``None`` keeps no bookkeeping).
 """
 
 from repro.parallel.async_cube_solver import AsyncCubeLBMIBSolver

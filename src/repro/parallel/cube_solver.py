@@ -26,6 +26,7 @@ exactly as the paper prescribes.
 
 from __future__ import annotations
 
+import threading
 import time
 from typing import Sequence
 
@@ -48,7 +49,6 @@ from repro.parallel.distribution import CubeDistribution, FiberDistribution
 from repro.parallel.executor import run_spmd
 from repro.parallel.locks import OwnerLocks
 from repro.parallel.thread_mesh import ThreadMesh
-from repro.parallel.trace import ExecutionTrace
 
 __all__ = ["CubeLBMIBSolver"]
 
@@ -111,10 +111,13 @@ class CubeLBMIBSolver:
         (it reads the adjacent interior layer of the same cube).
     use_locks:
         Acquire owner locks around cross-cube writes (paper behaviour).
-        May be disabled for the lock-overhead ablation study: the write
-        regions are element-disjoint, so the numerics are unaffected.
-    trace:
-        Record per-kernel per-thread events (on by default).
+        May be disabled for the lock-overhead ablation study, with the
+        numerics unaffected: streaming writes are element-disjoint, and
+        force spreading, whose writes do overlap across threads, then
+        takes one plain lock instead.
+
+    Set ``tracer`` to a :class:`~repro.observe.tracer.Tracer` to record
+    spans (``None``, the default, keeps no bookkeeping at all).
     """
 
     def __init__(
@@ -128,7 +131,6 @@ class CubeLBMIBSolver:
         boundaries: Sequence[Boundary] = (),
         dt: float = DT,
         use_locks: bool = True,
-        trace: bool = True,
         external_force: tuple[float, float, float] | None = None,
         fault_hook=None,
         barrier_timeout: float | None = None,
@@ -176,17 +178,16 @@ class CubeLBMIBSolver:
                 for s in structure.sheets
             ]
         self.locks = OwnerLocks(num_threads)
+        self._spread_lock = threading.Lock()
         self.barriers = {
             name: InstrumentedBarrier(num_threads, name, timeout=barrier_timeout)
             for name in ("after_stream", "after_update", "after_step")
         }
-        self.trace: ExecutionTrace | None = (
-            ExecutionTrace(num_threads) if trace else None
-        )
         #: Optional span tracer (repro.observe); None = telemetry off.
-        #: When attached, every cube loop additionally emits per-cube
-        #: spans (cat="cube") nested inside the kernel span, and every
-        #: barrier crossing emits a wait span (cat="barrier").
+        #: When attached, every loop emits one kernel span per thread,
+        #: every cube loop additionally emits per-cube spans (cat="cube")
+        #: nested inside it, and every barrier crossing emits a wait span
+        #: (cat="barrier").
         self.tracer = None
         self._plan = _streaming_plan(cubes.cube_size)
         k = cubes.cube_size
@@ -195,20 +196,19 @@ class CubeLBMIBSolver:
     # ------------------------------------------------------------------
     # helpers
     # ------------------------------------------------------------------
-    def _record(self, step: int, kernel: str, tid: int, start: float, work: int) -> None:
-        end = time.perf_counter()
-        if self.trace is not None:
-            self.trace.record(step, kernel, tid, end - start, work)
-        if self.tracer is not None:
-            self.tracer.record(kernel, tid, start, end - start, step=step)
+    def _cube_pass(self, kernel: str, tid: int, step: int, body) -> None:
+        """Run ``body(c)`` over the thread's cubes.
 
-    def _cube_pass(self, kernel: str, tid: int, step: int, cubes, body) -> None:
-        """Run ``body(c)`` over ``cubes``, tracing each cube when enabled."""
+        Traced, each cube records a ``cat="cube"`` span nested inside one
+        kernel span for the whole pass.
+        """
+        cubes = self._owned_cubes[tid]
         tracer = self.tracer
         if tracer is None:
             for c in cubes:
                 body(c)
             return
+        begin = time.perf_counter()
         for c in cubes:
             start = time.perf_counter()
             body(c)
@@ -216,6 +216,17 @@ class CubeLBMIBSolver:
                 kernel, tid, start, time.perf_counter() - start,
                 step=step, cube=int(c), cat="cube",
             )
+        tracer.record(kernel, tid, begin, time.perf_counter() - begin, step=step)
+
+    def _fiber_pass(self, kernel: str, tid: int, step: int, body) -> None:
+        """Run ``body(si, rows)`` over the thread's fibers of every sheet,
+        traced as one kernel span."""
+        tracer = self.tracer
+        start = time.perf_counter() if tracer is not None else 0.0
+        for si in range(len(self.structure.sheets)):
+            body(si, self._fiber_rows(si, tid))
+        if tracer is not None:
+            tracer.record(kernel, tid, start, time.perf_counter() - start, step=step)
 
     def _wait(self, name: str, tid: int, step: int) -> None:
         """Cross the named barrier, tracing the wait when enabled."""
@@ -243,11 +254,11 @@ class CubeLBMIBSolver:
     # ------------------------------------------------------------------
     # loop 1: fiber forces + spreading
     # ------------------------------------------------------------------
-    def _fiber_forces_and_spread(self, si: int, rows: np.ndarray) -> int:
+    def _fiber_forces_and_spread(self, si: int, rows: np.ndarray) -> None:
         """Kernels 1-4 for a subset of one sheet's fibers.
 
-        Returns the number of fiber nodes processed.  Cross-cube force
-        writes are grouped by owner and guarded by the owner locks.
+        Cross-cube force writes are grouped by owner and guarded by the
+        owner locks.
         """
         structure = self.structure
         assert structure is not None
@@ -255,11 +266,10 @@ class CubeLBMIBSolver:
         force_flat = cubes.force.reshape(cubes.num_cubes, 3, self._k3)
         sheet = structure.sheets[si]
         if rows.size == 0:
-            return 0
+            return
         _forces.compute_bending_force(sheet, rows=rows)
         _forces.compute_stretching_force(sheet, rows=rows)
         _forces.compute_elastic_force(sheet, rows=rows)
-        work = rows.size * sheet.nodes_per_fiber
 
         node_mask = np.zeros_like(sheet.active)
         node_mask[rows] = True
@@ -267,7 +277,7 @@ class CubeLBMIBSolver:
         positions = sheet.positions[node_mask]
         values = sheet.elastic_force[node_mask] * sheet.area_element
         if positions.size == 0:
-            return work
+            return
         indices, weights = self.delta.stencil(positions, grid_shape=cubes.shape)
         flat_idx, flat_w = flatten_stencil(indices, weights, cubes.shape)
         cube_idx, local_idx = cubes.locate_flat(flat_idx.ravel())
@@ -285,24 +295,14 @@ class CubeLBMIBSolver:
             lo, hi = bounds[owner], bounds[owner + 1]
             if lo == hi:
                 continue
-            with self._locked(owner):
+            # a read-modify-write on nodes other threads spread into too
+            with self._locked(owner) if self.use_locks else self._spread_lock:
                 for comp in range(3):
                     np.add.at(
                         force_flat[:, comp, :],
                         (cube_idx[lo:hi], local_idx[lo:hi]),
                         contrib[lo:hi, comp],
                     )
-        return work
-
-    def _loop1_fibers(self, tid: int, step: int) -> None:
-        structure = self.structure
-        assert structure is not None
-        start = time.perf_counter()
-        work = 0
-        for si in range(len(structure.sheets)):
-            rows = self._fiber_rows(si, tid)
-            work += self._fiber_forces_and_spread(si, rows)
-        self._record(step, "fiber_forces_and_spread", tid, start, work)
 
     # ------------------------------------------------------------------
     # loop 2: collision + streaming per owned cube
@@ -349,24 +349,6 @@ class CubeLBMIBSolver:
                 if off != (0, 0, 0):
                     targets.add(cubes.neighbor_cube(coords, off))
         return targets
-
-    def _loop2_cubes(self, tid: int, step: int) -> None:
-        start = time.perf_counter()
-        owned = self._owned_cubes[tid]
-        self._cube_pass("compute_fluid_collision", tid, step, owned, self._collide_cube)
-        self._record(step, "compute_fluid_collision", tid, start, owned.size * self._k3)
-        mid = time.perf_counter()
-
-        self._cube_pass(
-            "stream_fluid_velocity_distribution", tid, step, owned, self._stream_cube
-        )
-        self._record(
-            step,
-            "stream_fluid_velocity_distribution",
-            tid,
-            mid,
-            owned.size * self._k3,
-        )
 
     # ------------------------------------------------------------------
     # loop 3: boundaries + velocity update per owned cube
@@ -416,16 +398,10 @@ class CubeLBMIBSolver:
             out_density=cubes.density[c],
         )
 
-    def _loop3_cubes(self, tid: int, step: int) -> None:
-        start = time.perf_counter()
-        owned = self._owned_cubes[tid]
-        self._cube_pass("update_fluid_velocity", tid, step, owned, self._update_cube)
-        self._record(step, "update_fluid_velocity", tid, start, owned.size * self._k3)
-
     # ------------------------------------------------------------------
     # loop 4: move fibers
     # ------------------------------------------------------------------
-    def _move_fiber_rows(self, si: int, rows: np.ndarray) -> int:
+    def _move_fiber_rows(self, si: int, rows: np.ndarray) -> None:
         """Kernel 8 for a subset of one sheet's fibers (cube-gathered)."""
         structure = self.structure
         assert structure is not None
@@ -433,13 +409,13 @@ class CubeLBMIBSolver:
         vel_flat = cubes.velocity.reshape(cubes.num_cubes, 3, self._k3)
         sheet = structure.sheets[si]
         if rows.size == 0:
-            return 0
+            return
         node_mask = np.zeros_like(sheet.active)
         node_mask[rows] = True
         node_mask &= sheet.active
         positions = sheet.positions[node_mask]
         if positions.size == 0:
-            return rows.size * sheet.nodes_per_fiber
+            return
         indices, weights = self.delta.stencil(positions, grid_shape=cubes.shape)
         flat_idx, flat_w = flatten_stencil(indices, weights, cubes.shape)
         cube_idx, local_idx = cubes.locate_flat(flat_idx.ravel())
@@ -448,17 +424,6 @@ class CubeLBMIBSolver:
         velocities = np.einsum("nsa,ns->na", gathered, flat_w)
         sheet.velocity[node_mask] = velocities
         sheet.positions[node_mask] += self.dt * velocities
-        return rows.size * sheet.nodes_per_fiber
-
-    def _loop4_fibers(self, tid: int, step: int) -> None:
-        structure = self.structure
-        assert structure is not None
-        start = time.perf_counter()
-        work = 0
-        for si in range(len(structure.sheets)):
-            rows = self._fiber_rows(si, tid)
-            work += self._move_fiber_rows(si, rows)
-        self._record(step, "move_fibers", tid, start, work)
 
     # ------------------------------------------------------------------
     # loop 5: copy buffers + reset force
@@ -474,16 +439,6 @@ class CubeLBMIBSolver:
                 :, None, None, None
             ]
 
-    def _loop5_cubes(self, tid: int, step: int) -> None:
-        start = time.perf_counter()
-        owned = self._owned_cubes[tid]
-        self._cube_pass(
-            "copy_fluid_velocity_distribution", tid, step, owned, self._copy_cube
-        )
-        self._record(
-            step, "copy_fluid_velocity_distribution", tid, start, owned.size * self._k3
-        )
-
     # ------------------------------------------------------------------
     # driver
     # ------------------------------------------------------------------
@@ -494,14 +449,30 @@ class CubeLBMIBSolver:
                 if self.fault_hook is not None:
                     self.fault_hook(tid, step)
                 if self.structure is not None:
-                    self._loop1_fibers(tid, step)
-                self._loop2_cubes(tid, step)
+                    self._fiber_pass(
+                        "fiber_forces_and_spread", tid, step,
+                        self._fiber_forces_and_spread,
+                    )
+                self._cube_pass(
+                    "compute_fluid_collision", tid, step, self._collide_cube
+                )
+                self._cube_pass(
+                    "stream_fluid_velocity_distribution", tid, step,
+                    self._stream_cube,
+                )
                 self._wait("after_stream", tid, step)
-                self._loop3_cubes(tid, step)
+                self._cube_pass(
+                    "update_fluid_velocity", tid, step, self._update_cube
+                )
                 self._wait("after_update", tid, step)
                 if self.structure is not None:
-                    self._loop4_fibers(tid, step)
-                self._loop5_cubes(tid, step)
+                    self._fiber_pass(
+                        "move_fibers", tid, step, self._move_fiber_rows
+                    )
+                self._cube_pass(
+                    "copy_fluid_velocity_distribution", tid, step,
+                    self._copy_cube,
+                )
                 self._wait("after_step", tid, step)
         except BaseException:
             # A dying worker must not strand its peers at the next

@@ -23,7 +23,6 @@ synchronization overhead the cube-based algorithm of Section V removes.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -44,7 +43,6 @@ from repro.errors import ConfigurationError
 from repro.parallel.distribution import FiberDistribution
 from repro.parallel.executor import WorkerPool
 from repro.parallel.partition import Slab, chunked_ranges, static_slabs
-from repro.parallel.trace import ExecutionTrace
 
 __all__ = ["OpenMPLBMIBSolver"]
 
@@ -74,9 +72,10 @@ class OpenMPLBMIBSolver:
         "obtained the same performance").
     chunk:
         Chunk size (x-planes) for the dynamic schedule.
-    trace:
-        Record per-kernel per-thread events into an
-        :class:`~repro.parallel.trace.ExecutionTrace` (on by default).
+
+    Set ``tracer`` to a :class:`~repro.observe.tracer.Tracer` to record
+    one span per region per thread per step (``None``, the default,
+    keeps no bookkeeping at all).
     """
 
     def __init__(
@@ -90,7 +89,6 @@ class OpenMPLBMIBSolver:
         schedule: str = "static",
         chunk: int = 1,
         dt: float = DT,
-        trace: bool = True,
         external_force: tuple[float, float, float] | None = None,
         fault_hook=None,
         barrier_timeout: float | None = None,
@@ -133,9 +131,6 @@ class OpenMPLBMIBSolver:
                 FiberDistribution(s.num_fibers, num_threads, method=fiber_method)
                 for s in structure.sheets
             ]
-        self.trace: ExecutionTrace | None = (
-            ExecutionTrace(num_threads) if trace else None
-        )
         #: Optional span tracer (repro.observe); None = telemetry off.
         self.tracer = None
         self._pool: WorkerPool | None = None
@@ -163,9 +158,8 @@ class OpenMPLBMIBSolver:
         self.close()
 
     def _region(self, kernel: str, fn) -> None:
-        """One parallel region: run ``fn(tid) -> work_items`` on the team."""
+        """One parallel region: run ``fn(tid)`` on the team."""
         pool = self._ensure_pool()
-        trace = self.trace
         tracer = self.tracer
         step = self.time_step
 
@@ -174,14 +168,12 @@ class OpenMPLBMIBSolver:
                 # Fires inside the worker thread so an injected kill
                 # takes down the right team member (once per fault).
                 self.fault_hook(tid, step)
+            if tracer is None:
+                fn(tid)
+                return
             start = time.perf_counter()
-            work = fn(tid)
-            if trace is not None or tracer is not None:
-                elapsed = time.perf_counter() - start
-                if trace is not None:
-                    trace.record(step, kernel, tid, elapsed, int(work or 0))
-                if tracer is not None:
-                    tracer.record(kernel, tid, start, elapsed, step=step)
+            fn(tid)
+            tracer.record(kernel, tid, start, time.perf_counter() - start, step=step)
 
         pool.dispatch(wrapped)
 
@@ -191,7 +183,7 @@ class OpenMPLBMIBSolver:
     def _fluid_region(self, kernel: str, slab_body) -> None:
         """A fluid-node parallel region under the configured schedule.
 
-        ``slab_body(slab) -> work_items`` processes one contiguous range
+        ``slab_body(slab)`` processes one contiguous range
         of x-planes.  The *static* schedule assigns one fixed slab per
         thread (the paper's default); the *dynamic* schedule hands out
         ``chunk``-plane pieces from a shared cursor, like OpenMP's
@@ -201,23 +193,23 @@ class OpenMPLBMIBSolver:
         if self.schedule == "static":
             slabs = self.slabs
 
-            def run(tid: int) -> int:
+            def run(tid: int) -> None:
                 slab = slabs[tid]
-                return slab_body(slab) if slab.size else 0
+                if slab.size:
+                    slab_body(slab)
 
         else:
             self._chunk_cursor = 0
             chunks = self._chunks
 
-            def run(tid: int) -> int:
-                work = 0
+            def run(tid: int) -> None:
                 while True:
                     with self._sched_lock:
                         index = self._chunk_cursor
                         self._chunk_cursor += 1
                     if index >= len(chunks):
-                        return work
-                    work += slab_body(chunks[index])
+                        return
+                    slab_body(chunks[index])
 
         self._region(kernel, run)
 
@@ -228,8 +220,7 @@ class OpenMPLBMIBSolver:
         structure = self.structure
         assert structure is not None
 
-        def body(tid: int) -> int:
-            work = 0
+        def body(tid: int) -> None:
             for si, sheet in enumerate(structure.sheets):
                 rows = self._fiber_rows(si, tid)
                 if rows.size == 0:
@@ -240,8 +231,6 @@ class OpenMPLBMIBSolver:
                     _forces.compute_stretching_force(sheet, rows=rows)
                 else:
                     _forces.compute_elastic_force(sheet, rows=rows)
-                work += rows.size * sheet.nodes_per_fiber
-            return work
 
         self._region(f"compute_{which}_force_in_fibers", body)
 
@@ -255,25 +244,22 @@ class OpenMPLBMIBSolver:
             )
         buffers = self._force_private
 
-        def scatter(tid: int) -> int:
+        def scatter(tid: int) -> None:
             buffers[tid] = 0.0
-            work = 0
             for si, sheet in enumerate(structure.sheets):
                 rows = self._fiber_rows(si, tid)
                 if rows.size == 0:
                     continue
                 _spreading.spread_forces(sheet, self.delta, buffers[tid], rows=rows)
-                work += rows.size * sheet.nodes_per_fiber
-            return work
 
         self._region("spread_force_from_fibers_to_fluid", scatter)
 
         slabs = self.slabs
 
-        def reduce_(tid: int) -> int:
+        def reduce_(tid: int) -> None:
             slab = slabs[tid]
             if slab.size == 0:
-                return 0
+                return
             region = fluid.force[:, slab.start : slab.stop]
             region[...] = buffers[0][:, slab.start : slab.stop]
             for other in range(1, self.num_threads):
@@ -282,14 +268,13 @@ class OpenMPLBMIBSolver:
                 region += np.asarray(self.external_force, dtype=DTYPE)[
                     :, None, None, None
                 ]
-            return slab.size
 
         self._region("spread_force_reduction", reduce_)
 
     def _collision_region(self) -> None:
         fluid = self.fluid
 
-        def body(slab: Slab) -> int:
+        def body(slab: Slab) -> None:
             sl = slice(slab.start, slab.stop)
             df = fluid.df[:, sl]
             density = _macroscopic.compute_density(df)
@@ -301,7 +286,6 @@ class OpenMPLBMIBSolver:
                 operator=fluid.collision_operator,
                 magic_lambda=fluid.trt_magic,
             )
-            return slab.size * fluid.shape[1] * fluid.shape[2]
 
         self._fluid_region("compute_fluid_collision", body)
 
@@ -309,7 +293,7 @@ class OpenMPLBMIBSolver:
         fluid = self.fluid
         nx = fluid.shape[0]
 
-        def body(slab: Slab) -> int:
+        def body(slab: Slab) -> None:
             src = fluid.df[:, slab.start : slab.stop]
             for i in range(Q):
                 ex, ey, ez = (int(c) for c in E[i])
@@ -321,7 +305,6 @@ class OpenMPLBMIBSolver:
                 else:
                     dst = (slab.indices() + ex) % nx
                     fluid.df_new[i, dst] = shifted
-            return slab.size * fluid.shape[1] * fluid.shape[2]
 
         self._fluid_region("stream_fluid_velocity_distribution", body)
         # Physical boundaries repaired by the master (cheap face work).
@@ -331,7 +314,7 @@ class OpenMPLBMIBSolver:
     def _update_velocity_region(self) -> None:
         fluid = self.fluid
 
-        def body(slab: Slab) -> int:
+        def body(slab: Slab) -> None:
             sl = slice(slab.start, slab.stop)
             _coupling.shifted_velocities(
                 fluid.df_new[:, sl],
@@ -341,7 +324,6 @@ class OpenMPLBMIBSolver:
                 out_velocity_shifted=fluid.velocity_shifted[:, sl],
                 out_density=fluid.density[sl],
             )
-            return slab.size * fluid.shape[1] * fluid.shape[2]
 
         self._fluid_region("update_fluid_velocity", body)
 
@@ -350,8 +332,7 @@ class OpenMPLBMIBSolver:
         assert structure is not None
         fluid = self.fluid
 
-        def body(tid: int) -> int:
-            work = 0
+        def body(tid: int) -> None:
             for si, sheet in enumerate(structure.sheets):
                 rows = self._fiber_rows(si, tid)
                 if rows.size == 0:
@@ -359,15 +340,13 @@ class OpenMPLBMIBSolver:
                 _motion.move_fibers(
                     sheet, self.delta, fluid.velocity, dt=self.dt, rows=rows
                 )
-                work += rows.size * sheet.nodes_per_fiber
-            return work
 
         self._region("move_fibers", body)
 
     def _copy_region(self) -> None:
         fluid = self.fluid
 
-        def body(slab: Slab) -> int:
+        def body(slab: Slab) -> None:
             fluid.df[:, slab.start : slab.stop] = fluid.df_new[
                 :, slab.start : slab.stop
             ]
@@ -379,7 +358,6 @@ class OpenMPLBMIBSolver:
                 fluid.force[:, slab.start : slab.stop] = np.asarray(
                     self.external_force, dtype=DTYPE
                 )[:, None, None, None]
-            return slab.size * fluid.shape[1] * fluid.shape[2]
 
         self._fluid_region("copy_fluid_velocity_distribution", body)
 

@@ -2,23 +2,29 @@
 
 The paper uses the OmpP profiler to attribute time to parallel regions
 and quantify load imbalance.  :class:`ParallelProfile` performs the
-same analysis over an :class:`~repro.parallel.trace.ExecutionTrace`
-(which both parallel solvers populate) plus the instrumented barriers:
+same analysis over the ``cat == "kernel"`` spans a
+:class:`~repro.observe.tracer.Tracer` collects from a traced solver (one
+span per region per thread per step, the thread taken from
+:attr:`~repro.observe.tracer.Span.tid`) plus the instrumented barriers:
 
 * per-region total/mean/max thread time,
 * whole-program load imbalance ``(max - mean) / max`` over per-thread
   busy time — the metric of Table II's last column,
 * barrier wait shares.
+
+Per-thread *work* is a property of the partition, not of a run; see
+:func:`repro.experiments.table2.structural_imbalance`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
+from repro.observe.tracer import Span
 from repro.parallel.barrier import InstrumentedBarrier
-from repro.parallel.trace import ExecutionTrace
 
 __all__ = ["RegionStats", "ParallelProfile"]
 
@@ -43,24 +49,33 @@ class RegionStats:
 
 
 class ParallelProfile:
-    """OmpP-like analysis of a parallel solver run."""
+    """OmpP-like analysis of a parallel solver run.
+
+    Parameters
+    ----------
+    spans:
+        Tracer spans; only ``cat == "kernel"`` spans are analysed.  The
+        team is threads ``0 .. max(tid)``: every thread of a parallel
+        solver records a span in every region.
+    barriers:
+        The solver's instrumented barriers, by name.
+    """
 
     def __init__(
         self,
-        trace: ExecutionTrace,
+        spans: Iterable[Span],
         barriers: dict[str, InstrumentedBarrier] | None = None,
     ) -> None:
-        self.trace = trace
+        self.spans = [s for s in spans if s.cat == "kernel"]
         self.barriers = barriers or {}
+        self.num_threads = max((s.tid for s in self.spans), default=0) + 1
 
     def region_stats(self) -> list[RegionStats]:
         """Per-kernel statistics, ordered by total time descending."""
-        per_kernel_thread: dict[str, np.ndarray] = {}
-        for ev in self.trace.events:
-            arr = per_kernel_thread.setdefault(
-                ev.kernel, np.zeros(self.trace.num_threads)
-            )
-            arr[ev.tid] += ev.seconds
+        per_region: dict[str, np.ndarray] = {}
+        for s in self.spans:
+            arr = per_region.setdefault(s.name, np.zeros(self.num_threads))
+            arr[s.tid] += s.duration
         stats = [
             RegionStats(
                 name=k,
@@ -68,30 +83,21 @@ class ParallelProfile:
                 mean_thread_seconds=float(v.mean()),
                 max_thread_seconds=float(v.max()),
             )
-            for k, v in per_kernel_thread.items()
+            for k, v in per_region.items()
         ]
         stats.sort(key=lambda s: s.total_seconds, reverse=True)
         return stats
 
-    def whole_program_imbalance(self, by: str = "time") -> float:
-        """Load imbalance relative to the whole program (Table II).
-
-        Parameters
-        ----------
-        by:
-            ``"time"`` uses per-thread busy seconds (what OmpP sees);
-            ``"work"`` uses per-thread work items (deterministic,
-            partition-derived).
-        """
-        if by == "time":
-            busy = self.trace.seconds_by_thread()
-            peak = busy.max()
-            if peak <= 0:
-                return 0.0
-            return float((peak - busy.mean()) / peak)
-        if by == "work":
-            return self.trace.load_imbalance()
-        raise ValueError(f"by must be 'time' or 'work', got {by!r}")
+    def whole_program_imbalance(self) -> float:
+        """Load imbalance ``(max - mean) / max`` of per-thread busy time,
+        relative to the whole program (Table II)."""
+        busy = np.zeros(self.num_threads)
+        for s in self.spans:
+            busy[s.tid] += s.duration
+        peak = busy.max()
+        if peak <= 0:
+            return 0.0
+        return float((peak - busy.mean()) / peak)
 
     def barrier_wait_seconds(self) -> float:
         """Total time threads spent waiting at the instrumented barriers."""
@@ -112,7 +118,6 @@ class ParallelProfile:
         lines.append("-" * 80)
         lines.append(
             f"whole-program load imbalance: "
-            f"{100 * self.whole_program_imbalance():.1f}% (by time), "
-            f"{100 * self.whole_program_imbalance(by='work'):.1f}% (by work)"
+            f"{100 * self.whole_program_imbalance():.1f}% (by time)"
         )
         return "\n".join(lines)

@@ -3,16 +3,16 @@
 The paper's conclusion names auto-tuning as future work; this package
 grows the original cube-size sweep into a full configuration tuner:
 
-* :mod:`~repro.tuning.cube` — the legacy cube-edge tuners
-  (:func:`valid_cube_sizes`, :func:`suggest_cube_size`,
-  :func:`autotune_cube_size`) and the shared interleaved min-of-R
-  measurement discipline;
 * :mod:`~repro.tuning.space` — the oracle-safe search space: variant x
-  cube size x scatter method x precision x batch width;
+  cube size x scatter method x precision x batch width, plus the
+  legacy model-guided cube tuner (:func:`valid_cube_sizes`,
+  :func:`suggest_cube_size`);
 * :mod:`~repro.tuning.predict` — model-guided ranking from the
   calibrated performance model and cache working-set estimates;
 * :mod:`~repro.tuning.probe` — measured confirmation of the top-ranked
-  candidates under a wall-clock budget;
+  candidates under a wall-clock budget, the interleaved min-of-R
+  measurement discipline (:func:`interleaved_min_seconds`) and the
+  legacy empirical cube sweep (:func:`autotune_cube_size`);
 * :mod:`~repro.tuning.cache` — the persisted decision cache keyed by
   ``(workload key, machine fingerprint)``;
 * :mod:`~repro.tuning.autotuner` — :class:`Autotuner`, the
@@ -26,22 +26,23 @@ one workload; ``make bench-tune`` records it as ``BENCH_tune.json``.
 
 from repro.tuning.autotuner import Autotuner, TuneReport
 from repro.tuning.cache import SCHEMA_VERSION, DecisionCache, TunedDecision
-from repro.tuning.cube import (
-    TuningResult,
-    autotune_cube_size,
-    interleaved_min_seconds,
-    suggest_cube_size,
-    valid_cube_sizes,
-)
 from repro.tuning.online import OnlineRetuner, RetuneEvent
 from repro.tuning.predict import Prediction, predict_ranking, predict_step_seconds
-from repro.tuning.probe import ProbeResult, probe_candidates
+from repro.tuning.probe import (
+    ProbeResult,
+    autotune_cube_size,
+    interleaved_min_seconds,
+    probe_candidates,
+)
 from repro.tuning.space import (
     ORACLE_SAFE_VARIANTS,
     TuningCandidate,
+    TuningResult,
     TuningWorkload,
     allowed_precisions,
     candidate_space,
+    suggest_cube_size,
+    valid_cube_sizes,
 )
 
 __all__ = [

@@ -1,4 +1,5 @@
-"""Tuning search space: workload keys and candidate configurations.
+"""Tuning search space: workload keys, candidate configurations and the
+cube-edge axis.
 
 The autotuner searches over the repo's five hand-picked tunables —
 solver variant, cube size, scatter method, precision policy and batch
@@ -10,6 +11,14 @@ only admits precisions that satisfy the *requested* precision contract
 asked for ``float32`` accepts anything at least as accurate as the
 float32 tolerance band).  A tuned decision can therefore change how
 fast an answer arrives, never which answer arrives.
+
+The cube edge ``k`` is the central tunable of the cube-based algorithm
+(paper Section V-A): a larger ``k`` means fewer cubes (less
+bookkeeping, fewer lock acquisitions) but a bigger per-cube working set
+(worse cache fit).  :func:`valid_cube_sizes` lists the edges a grid
+admits and :func:`suggest_cube_size` is the model-guided legacy tuner;
+the empirical one, :func:`~repro.tuning.probe.autotune_cube_size`,
+returns a :class:`TuningResult`.
 """
 
 from __future__ import annotations
@@ -19,14 +28,19 @@ from dataclasses import dataclass, replace
 
 from repro.config import SimulationConfig
 from repro.errors import ConfigurationError
+from repro.machine.spec import MachineSpec
+from repro.parallel.cubes import CubeGrid
 
 __all__ = [
     "ORACLE_SAFE_VARIANTS",
     "DEFAULT_VARIANTS",
     "TuningCandidate",
+    "TuningResult",
     "TuningWorkload",
     "allowed_precisions",
     "candidate_space",
+    "suggest_cube_size",
+    "valid_cube_sizes",
 ]
 
 #: Variants the verification suite pins equivalent to ``sequential``
@@ -213,15 +227,62 @@ class TuningCandidate:
         )
 
 
+def valid_cube_sizes(shape: tuple[int, int, int]) -> list[int]:
+    """Cube edges that divide every grid dimension, ascending."""
+    if any(n < 1 for n in shape):
+        raise ConfigurationError(f"grid shape must be positive, got {shape}")
+    g = math.gcd(math.gcd(shape[0], shape[1]), shape[2])
+    return [k for k in range(1, g + 1) if g % k == 0]
+
+
+def suggest_cube_size(
+    shape: tuple[int, int, int], machine: MachineSpec
+) -> int:
+    """Largest valid ``k`` whose cube working set fits the L2 share.
+
+    One L2 instance is shared by ``shared_by`` cores; a cube's field
+    set is 48 doubles per node (see
+    :attr:`repro.parallel.cubes.CubeGrid.cube_nbytes`).
+    """
+    l2 = machine.cache(2)
+    budget = l2.size_bytes / l2.shared_by
+    best = 1
+    for k in valid_cube_sizes(shape):
+        probe = CubeGrid(shape, k)
+        if probe.cube_nbytes <= budget:
+            best = k
+    return best
+
+
+@dataclass(frozen=True)
+class TuningResult:
+    """Outcome of an empirical cube-size sweep.
+
+    ``seconds_by_size`` holds the per-candidate **min over repetitions**
+    of the timed-block wall time — the noise-robust statistic of the
+    interleaved measurement discipline (see
+    :func:`~repro.tuning.probe.autotune_cube_size`).
+    """
+
+    best_cube_size: int
+    seconds_by_size: dict[int, float]
+
+    def as_rows(self) -> list[list[object]]:
+        """Table rows ``[k, seconds, best?]`` sorted by ``k``."""
+        return [
+            [k, round(s, 4), "*" if k == self.best_cube_size else ""]
+            for k, s in sorted(self.seconds_by_size.items())
+        ]
+
+
 def _cube_edges(shape: tuple[int, int, int]) -> list[int]:
     """Usable cube edges: divide every axis, are >= the dispatch floor,
     and keep the Python per-cube loop below :data:`_MAX_CUBES` cubes."""
-    g = math.gcd(math.gcd(shape[0], shape[1]), shape[2])
     nodes = shape[0] * shape[1] * shape[2]
     return [
         k
-        for k in range(_MIN_CUBE_EDGE, g + 1)
-        if g % k == 0 and nodes // k**3 <= _MAX_CUBES
+        for k in valid_cube_sizes(shape)
+        if k >= _MIN_CUBE_EDGE and nodes // k**3 <= _MAX_CUBES
     ]
 
 

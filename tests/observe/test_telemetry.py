@@ -5,6 +5,7 @@ import pytest
 from repro.api import Simulation
 from repro.config import SimulationConfig, StructureConfig
 from repro.observe import Telemetry
+from repro.profiling.ompp import ParallelProfile
 from repro.resilience.runner import ResilientRunner, RetryPolicy
 from repro.verify.invariants import InvariantSuite
 from repro.verify.oracle import DifferentialOracle
@@ -68,6 +69,36 @@ class TestSimulationWiring:
         counters = telemetry.metrics.snapshot()["counters"]
         # one task per cube for stream/update/copy + fiber blocks x2
         assert counters["parallel.tasks_executed"] >= 3 * 64
+
+    def test_async_cube_publishes_no_load_imbalance(self):
+        """The task scheduler records no kernel spans, so there is no
+        imbalance to report (not a made-up 0.0)."""
+        telemetry = Telemetry()
+        config = _config(solver="async_cube", num_threads=2)
+        with Simulation(config, telemetry=telemetry) as sim:
+            sim.run(1)
+            telemetry.collect(sim)
+        snap = telemetry.metrics.snapshot()
+        assert "parallel.load_imbalance" not in snap["gauges"]
+        assert not any(k.startswith("kernel.") for k in snap["histograms"])
+
+    @pytest.mark.parametrize("solver", ["openmp", "cube"])
+    def test_load_imbalance_reads_kernel_spans(self, solver):
+        telemetry = Telemetry()
+        config = _config(solver=solver, num_threads=2)
+        with Simulation(config, telemetry=telemetry) as sim:
+            sim.run(2)
+            telemetry.collect(sim)
+        spans = telemetry.tracer.spans
+        profile = ParallelProfile(spans)
+        snap = telemetry.metrics.snapshot()
+        gauge = snap["gauges"]["parallel.load_imbalance"]
+        assert gauge == profile.whole_program_imbalance()
+        assert 0.0 <= gauge < 1.0
+        for region in profile.region_stats():
+            hist = snap["histograms"][f"kernel.{region.name}.seconds"]
+            assert hist["count"] == 1
+            assert hist["sum"] == pytest.approx(region.total_seconds)
 
     def test_invariant_checks_counted(self):
         telemetry = Telemetry()

@@ -7,15 +7,21 @@ Locks the observability tentpole's tracer guarantees:
 * a traced sequential run emits all nine Algorithm-1 kernels per step,
   and every single-core variant records its exact ordered span list on
   every step (the names ``perfbench/lbmbench/spans.py`` maps to layers);
-* a traced cube run tags spans with thread and cube ids;
-* the bridges reproduce the gprof/OmpP analyses from the same spans;
+* a traced cube run tags spans with thread and cube ids, and every
+  parallel and distributed solver records its exact per-step multiset
+  of ``(name, cat, tid, cube)`` spans;
+* the gprof/OmpP renderings reproduce the analyses from the same spans;
 * the disabled path (``tracer=None``) allocates nothing, mirroring the
-  fused solver's zero-allocation gate.
+  fused solver's zero-allocation gate, and an untraced parallel run
+  retains no per-step record.
 """
 
+import gc
 import json
 import tracemalloc
+from collections import Counter
 
+import numpy as np
 import pytest
 
 from repro.api import Simulation
@@ -316,6 +322,120 @@ class TestCubeCoverage:
         assert {s.cube for s in per_cube} == set(range(64))
 
 
+_FLUID = [
+    "compute_fluid_collision",
+    "stream_fluid_velocity_distribution",
+    "update_fluid_velocity",
+]
+_COPY = "copy_fluid_velocity_distribution"
+_BARRIERS = ["after_stream", "after_update", "after_step"]
+_THREADS = 2
+_PARALLEL = [
+    "openmp-static",
+    "openmp-dynamic",
+    "cube",
+    "async_cube",
+    "distributed",
+    "hybrid",
+]
+
+
+def _parallel_config(solver, with_structure):
+    structure = (
+        StructureConfig(kind="flat_sheet", num_fibers=4, nodes_per_fiber=4)
+        if with_structure
+        else StructureConfig(kind="none")
+    )
+    return SimulationConfig(
+        fluid_shape=(16, 8, 8),
+        tau=0.8,
+        solver=solver,
+        num_threads=_THREADS,
+        cube_size=4,
+        structure=structure,
+    )
+
+
+def _expected_parallel_spans(variant, with_structure, solver):
+    """The ``(name, cat, tid, cube)`` multiset ``variant`` records per step.
+
+    The async scheduler hands tasks to whichever thread is free, so its
+    tid is not part of the key (``None``).
+    """
+    ib = with_structure
+    spans = Counter()
+    if variant.startswith("openmp"):
+        names = (
+            _IB + ["spread_force_reduction"] if ib else []
+        ) + _FLUID + (["move_fibers"] if ib else []) + [_COPY]
+        for tid in range(_THREADS):
+            spans.update((name, "kernel", tid, -1) for name in names)
+    elif variant == "cube":
+        owner = solver.cube_dist.owner_table().ravel()
+        cube_kernels = _FLUID + [_COPY]
+        kernels = (
+            ["fiber_forces_and_spread"] if ib else []
+        ) + _FLUID + (["move_fibers"] if ib else []) + [_COPY]
+        for tid in range(_THREADS):
+            spans.update((name, "kernel", tid, -1) for name in kernels)
+            for cube in np.flatnonzero(owner == tid):
+                spans.update((name, "cube", tid, int(cube)) for name in cube_kernels)
+            spans.update(("barrier:" + b, "barrier", tid, -1) for b in _BARRIERS)
+    elif variant == "async_cube":
+        for cube in range(solver.cubes.num_cubes):
+            for name in ["collide_stream", "update_fluid_velocity", _COPY]:
+                spans[(name, "task", None, cube)] += 1
+        if ib:  # one fiber block per sheet per thread
+            for name in ["fiber_forces_and_spread", "move_fibers"]:
+                spans[(name, "task", None, -1)] += _THREADS
+    else:
+        fluid = {
+            "distributed": [
+                "compute_fluid_collision",
+                "stream_and_halo_exchange",
+                "update_fluid_velocity",
+            ],
+            "hybrid": [
+                "compute_fluid_collision",
+                "stream_fluid_velocity_distribution",
+                "halo_exchange",
+                "update_fluid_velocity",
+            ],
+        }[variant]
+        names = (
+            ["fiber_forces_and_spread"] if ib else []
+        ) + fluid + (["move_fibers"] if ib else []) + [_COPY]
+        for rank in range(_THREADS):
+            spans.update((name, "phase", rank, -1) for name in names)
+    return spans
+
+
+class TestParallelCoverage:
+    @pytest.mark.parametrize("with_structure", [True, False], ids=["fsi", "fluid_only"])
+    @pytest.mark.parametrize("variant", _PARALLEL)
+    def test_exact_per_step_span_vocabulary(self, variant, with_structure):
+        """Each parallel and distributed solver records the same span
+        multiset on every step: names, categories, threads (ranks) and
+        cube ids."""
+        solver_name, _, schedule = variant.partition("-")
+        telemetry = Telemetry()
+        config = _parallel_config(solver_name, with_structure)
+        steps = 3
+        with Simulation(config, telemetry=telemetry) as sim:
+            if schedule:
+                sim.solver.schedule = schedule
+            sim.run(steps)
+            expected = _expected_parallel_spans(variant, with_structure, sim.solver)
+        by_step = {}
+        for s in telemetry.tracer.spans:
+            tid = None if variant == "async_cube" else s.tid
+            assert 0 <= s.tid < _THREADS
+            by_step.setdefault(s.step, Counter())[(s.name, s.cat, tid, s.cube)] += 1
+        assert sorted(by_step) == list(range(steps))
+        for step, spans in by_step.items():
+            assert spans == expected, f"{variant} step {step}"
+
+
 class TestBridges:
     def test_flat_profile_matches_span_totals(self):
         tracer = Tracer()
@@ -328,14 +448,6 @@ class TestBridges:
         assert profile.seconds["collide"] == pytest.approx(3.0)
         assert "wait" not in profile.seconds
         assert profile.total_seconds == pytest.approx(4.0)
-
-    def test_execution_trace_bridge(self):
-        tracer = Tracer()
-        tracer.record("collide", 0, 0.0, 2.0, step=0)
-        tracer.record("collide", 1, 0.0, 1.0, step=0)
-        trace = tracer.execution_trace()
-        assert trace.num_threads == 2
-        assert trace.seconds_by_kernel()["collide"] == pytest.approx(3.0)
 
     def test_parallel_profile_bridge(self):
         tracer = Tracer()
@@ -366,6 +478,25 @@ class TestDisabledPath:
             _, peak = tracemalloc.get_traced_memory()
             tracemalloc.stop()
         assert peak < 8192, f"untraced fused step allocated {peak} bytes at peak"
+
+    @pytest.mark.parametrize("variant", ["openmp-static", "openmp-dynamic", "cube"])
+    def test_untraced_parallel_run_retains_nothing(self, variant):
+        """Without a tracer a parallel solver keeps no per-step record:
+        100 steps after warm-up leave at most 16 KiB behind."""
+        solver_name, _, schedule = variant.partition("-")
+        with Simulation(_parallel_config(solver_name, True)) as sim:
+            if schedule:
+                sim.solver.schedule = schedule
+            sim.run(10)  # warm-up: worker pool, private force buffers
+            gc.collect()
+            tracemalloc.start()
+            try:
+                sim.run(100)
+                gc.collect()
+                retained, _ = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert retained <= 16 * 1024, f"{variant} retained {retained} bytes"
 
     def test_solvers_default_to_no_tracer(self):
         for solver, threads in [("sequential", 1), ("openmp", 2), ("cube", 2)]:

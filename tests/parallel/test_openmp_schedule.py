@@ -12,6 +12,7 @@ from repro.core.ib import geometry
 from repro.core.lbm.fields import FluidGrid
 from repro.core.solver import SequentialLBMIBSolver
 from repro.errors import ConfigurationError
+from repro.observe.tracer import Tracer
 from repro.parallel import OpenMPLBMIBSolver
 
 SHAPE = (13, 8, 8)  # deliberately not divisible by the thread counts
@@ -83,7 +84,13 @@ class TestDynamicSchedule:
         with OpenMPLBMIBSolver(
             grid, structure, num_threads=2, schedule="dynamic"
         ) as solver:
-            solver.run(1)
-            work = solver.trace.work_by_thread("compute_fluid_collision")
-        # all planes processed exactly once across threads
-        assert work.sum() == SHAPE[0] * SHAPE[1] * SHAPE[2]
+            solver.tracer = Tracer()
+            solver.run(2)
+            spans = [
+                (s.step, s.tid)
+                for s in solver.tracer.spans
+                if s.name == "compute_fluid_collision"
+            ]
+        # one region span per thread per step; that every plane is
+        # processed exactly once is test_matches_sequential's job
+        assert sorted(spans) == [(0, 0), (0, 1), (1, 0), (1, 1)]

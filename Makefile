@@ -55,9 +55,9 @@ test-faults:
 # Deterministic chaos suite for the fault-tolerant batch scheduler:
 # seeded fault plans (slot corruption, checkpoint truncation, scheduler
 # kill + resume) with completed results pinned bit-identical to a
-# fault-free golden run.  Set LBMIB_CHAOS_DIR to keep the incident
-# journal and resume manifest for inspection (CI archives them on
-# failure).
+# fault-free golden run.  Set LBMIB_CHAOS_DIR to keep each scheduler's
+# job log (incidents.jsonl, which resume folds) for inspection (CI
+# archives it on failure).
 test-chaos:
 	LBMIB_FAULT_TEST_TIMEOUT=180 $(PYTHON) -m pytest -m chaos tests/
 

@@ -31,11 +31,13 @@ Fault tolerance (all opt-in, zero overhead when off):
   with a structured :class:`FailureInfo` (root-cause chain, failing
   step, incident-log pointer) on its :class:`BatchResult`.
 * **Checkpoint-backed resume** — with a ``workdir``, the scheduler
-  journals a queue manifest plus periodic atomic per-job checkpoints
-  (tmp + rename + SHA-256, rotated to ``keep_checkpoints``); a killed
-  scheduler process restarts via :meth:`BatchScheduler.resume` and
-  completes every in-flight job losslessly, falling back past any
-  corrupted or truncated checkpoint it finds.
+  writes periodic atomic per-job checkpoints (tmp + rename + SHA-256,
+  rotated to ``keep_checkpoints``) and records every submission,
+  checkpoint, retry and terminal state in its append-only job log (the
+  incident journal); a killed scheduler process restarts via
+  :meth:`BatchScheduler.resume`, which folds that log
+  (:func:`fold_job_log`) and completes every in-flight job losslessly,
+  falling back past any corrupted or truncated checkpoint it finds.
 
 Serving hooks (the :mod:`repro.service` layer builds on these):
 
@@ -70,13 +72,13 @@ plus the fault-tolerance counters ``batch.retries``,
 
 from __future__ import annotations
 
-import json
+import contextlib
 import os
 import re
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -101,20 +103,19 @@ __all__ = [
     "BatchScheduler",
     "FailureInfo",
     "JobRequest",
+    "LoggedJob",
     "SchedulerTick",
     "TERMINAL_STATUSES",
     "compatibility_key",
+    "fold_job_log",
 ]
 
 #: Job statuses that end a job's lifecycle (a result exists for each).
 TERMINAL_STATUSES = frozenset({"completed", "failed", "diverged", "cancelled"})
 
-#: Queue-manifest file name inside a scheduler ``workdir``.
-MANIFEST_NAME = "manifest.json"
-#: Crash-safe incident-journal file name inside a scheduler ``workdir``.
+#: Job-log file name inside a scheduler ``workdir`` (when no
+#: ``incident_log`` is handed in).
 INCIDENTS_NAME = "incidents.jsonl"
-
-_MANIFEST_VERSION = 1
 
 
 def compatibility_key(config: SimulationConfig) -> tuple:
@@ -180,35 +181,13 @@ class FailureInfo:
         return self.chain[-1] if self.chain else f"{self.error_type}: {self.message}"
 
     def to_dict(self) -> dict:
-        """JSON-safe form (manifest persistence, operator tooling)."""
-        return {
-            "job_id": self.job_id,
-            "error_type": self.error_type,
-            "message": self.message,
-            "invariant": self.invariant,
-            "failing_step": self.failing_step,
-            "slot": self.slot,
-            "attempt": self.attempt,
-            "quarantined": self.quarantined,
-            "chain": list(self.chain),
-            "incident_log": self.incident_log,
-        }
+        """JSON-safe form (the ``job_failed`` log event, operator tooling)."""
+        return {**asdict(self), "chain": list(self.chain)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "FailureInfo":
         """Inverse of :meth:`to_dict` (used by :meth:`BatchScheduler.resume`)."""
-        return cls(
-            job_id=str(data["job_id"]),
-            error_type=str(data["error_type"]),
-            message=str(data.get("message", "")),
-            invariant=str(data.get("invariant", "unknown")),
-            failing_step=int(data.get("failing_step", -1)),
-            slot=int(data.get("slot", -1)),
-            attempt=int(data.get("attempt", 1)),
-            quarantined=bool(data.get("quarantined", False)),
-            chain=tuple(data.get("chain", ())),
-            incident_log=data.get("incident_log"),
-        )
+        return cls(**{**data, "chain": tuple(data["chain"])})
 
 
 @dataclass(frozen=True)
@@ -261,7 +240,7 @@ class BatchJob:
     retry-and-resume lifecycle: a retried or resumed job re-enters the
     queue as a fresh :class:`BatchJob` whose initial state is the
     restart checkpoint and whose ``start_step`` offsets all step
-    accounting.
+    accounting.  ``init_checkpoint`` names the submit-time state file.
     """
 
     job_id: str
@@ -272,6 +251,7 @@ class BatchJob:
     initial_structure: ImmersedStructure | None = None
     attempt: int = 1
     start_step: int = 0
+    init_checkpoint: str | None = None
 
 
 @dataclass(frozen=True)
@@ -367,6 +347,81 @@ class BatchResult:
         return self.status == "completed"
 
 
+@dataclass
+class LoggedJob:
+    """One job as the job log records it (built by :func:`fold_job_log`).
+
+    ``tenant`` / ``state_seed`` / ``state_bytes`` are set once a service
+    accepted the job, ``order`` / ``init_checkpoint`` once a scheduler
+    submitted it.  ``config`` is the newest logged (a retry's), ``trail``
+    the ``(path, step)`` checkpoint window, oldest first, and ``steps``
+    that of the last terminal event (``None`` if it carries none).
+    """
+
+    job_id: str
+    config: dict
+    num_steps: int
+    tenant: str | None = None
+    state_seed: int | None = None
+    state_bytes: int = 0
+    order: int | None = None
+    attempt: int = 1
+    trail: list[tuple[str, int]] = field(default_factory=list)
+    init_checkpoint: str | None = None
+    status: str = "pending"
+    steps: int | None = None
+    failure: dict | None = None
+
+    @property
+    def terminal(self) -> bool:
+        """True once a terminal event was logged."""
+        return self.status in TERMINAL_STATUSES
+
+
+def fold_job_log(events) -> dict[str, LoggedJob]:
+    """Fold job-log events, oldest first, into one record per job.
+
+    Both resume paths read this fold.  A later terminal event overrides
+    an earlier one, so a cancellation stands unless a terminal event
+    follows it.  No event marks a job running: a submitted job without a
+    terminal event is ``"pending"``.  Records keep first-logged order.
+    """
+    jobs: dict[str, LoggedJob] = {}
+    for event in events:
+        kind, detail = event.kind, event.detail
+        job_id = detail.get("job")
+        if kind in ("job_accepted", "job_submitted"):
+            job = jobs.setdefault(
+                job_id, LoggedJob(job_id, detail["config"], int(detail["num_steps"]))
+            )
+            if kind == "job_accepted":
+                job.tenant = str(detail["tenant"])
+                job.state_seed = detail.get("state_seed")
+                job.state_bytes = int(detail.get("state_bytes", 0))
+            else:
+                job.order = int(detail["order"])
+                job.init_checkpoint = detail.get("init_checkpoint")
+            continue
+        job = jobs.get(job_id)
+        if job is None:
+            continue
+        if "trail" in detail:
+            job.trail = [(str(path), int(step)) for path, step in detail["trail"]]
+        if kind == "job_retry":
+            job.attempt = int(detail["attempt"])
+            job.config = detail["config"]
+        elif kind in ("checkpoint_corrupt", "checkpoint_unstable"):
+            job.trail = [e for e in job.trail if e[0] != detail.get("path")]
+        elif kind in ("job_completed", "job_cancelled", "job_failed", "job_terminal"):
+            # job_failed / job_terminal carry the status, the others are named for it
+            job.status = str(detail.get("status", kind.removeprefix("job_")))
+            steps = int(detail.get("steps", event.step))
+            if steps >= 0:
+                job.steps = steps
+            job.failure = detail.get("failure", job.failure)
+    return jobs
+
+
 class BatchScheduler:
     """Group, batch and continuously run submitted simulations.
 
@@ -393,8 +448,9 @@ class BatchScheduler:
         Strikes (failures of the same job) after which retries stop
         regardless of remaining attempt budget.
     workdir:
-        Directory for the queue manifest, per-job checkpoints and the
-        crash-safe incident journal.  ``None`` disables persistence.
+        Directory for the per-job checkpoints and, unless
+        ``incident_log`` is given, the job log.  ``None`` disables
+        persistence.
     checkpoint_every:
         Absolute-step period of per-job checkpoints (``0`` = only
         submit-time initial-state checkpoints; requires ``workdir``).
@@ -406,9 +462,11 @@ class BatchScheduler:
         ``tid`` interpreted as the batch *slot*) and into every
         checkpoint write (``truncate_checkpoint``).
     incident_log:
-        Optional pre-built :class:`~repro.resilience.incident.IncidentLog`;
-        by default a crash-safe JSONL journal is created inside
-        ``workdir`` (in-memory only without one).
+        Optional pre-built :class:`~repro.resilience.incident.IncidentLog`
+        (a service hands in its own job log); by default a crash-safe
+        JSONL journal is created inside ``workdir`` (in-memory only
+        without one).  With a ``workdir`` it is the scheduler's job log:
+        :meth:`resume` rebuilds the queue from it.
     step_hook:
         Optional callable receiving one :class:`SchedulerTick` after
         every batched sweep — the cooperative yield point a service
@@ -467,17 +525,15 @@ class BatchScheduler:
         self.checkpoint_every = checkpoint_every
         self.keep_checkpoints = keep_checkpoints
         self.fault_injector = fault_injector
-        if incident_log is not None:
-            self.incidents = incident_log
-        elif self.workdir is not None:
-            os.makedirs(self.workdir, exist_ok=True)
-            self.incidents = IncidentLog(
-                jsonl_path=os.path.join(self.workdir, INCIDENTS_NAME)
-            )
-        else:
-            self.incidents = IncidentLog()
         if self.workdir is not None:
             os.makedirs(self.workdir, exist_ok=True)
+        if incident_log is None:
+            incident_log = IncidentLog(
+                jsonl_path=None
+                if self.workdir is None
+                else os.path.join(self.workdir, INCIDENTS_NAME)
+            )
+        self.incidents = incident_log
         if fault_injector is not None and fault_injector.incident_log is None:
             fault_injector.incident_log = self.incidents
         if isinstance(guard, SlotGuard):
@@ -507,10 +563,8 @@ class BatchScheduler:
         self._group_key: tuple | None = None
         #: Probe-path strike counts per job id (guard keeps its own).
         self._strikes: dict[str, int] = {}
-        #: Per-job checkpoint trail (oldest first), mirroring the manifest.
+        #: Per-job checkpoint trail (oldest first), as last logged.
         self._ckpts: dict[str, list[tuple[str, int]]] = {}
-        #: Persisted queue state, one entry per ever-submitted job id.
-        self._manifest: dict[str, dict] = {}
         #: Results reconstructed by :meth:`resume`, merged into the next run.
         self._restored: dict[str, BatchResult] = {}
 
@@ -541,7 +595,7 @@ class BatchScheduler:
             job_id = f"sim{self._counter}"
         elif (
             any(job.job_id == job_id for job in self._jobs)
-            or job_id in self._manifest
+            or (self._persist and job_id in self._status)
             or job_id in self._restored
         ):
             raise ConfigurationError(f"duplicate job id {job_id!r}")
@@ -553,40 +607,33 @@ class BatchScheduler:
             initial_fluid=initial_fluid,
             initial_structure=initial_structure,
         )
-        self._jobs.append(job)
-        self._counter += 1
-        self._status[job_id] = "queued"
         if self._persist:
-            entry = {
-                "job_id": job_id,
-                "order": job.order,
-                "num_steps": job.num_steps,
-                "attempt": 1,
-                "status": "pending",
-                "config": config.to_dict(),
-                "steps_completed": 0,
-                "checkpoints": [],
-                "init_checkpoint": None,
-                "failure": None,
-            }
             if initial_fluid is not None or initial_structure is not None:
-                path = os.path.join(
+                job.init_checkpoint = os.path.join(
                     self.workdir, f"ckpt-{_safe_id(job_id)}-init.npz"
                 )
-                fluid = initial_fluid
-                if fluid is None:
-                    fluid = FluidGrid(
-                        config.fluid_shape,
-                        tau=config.effective_tau,
-                        collision_operator=config.collision_operator,
-                    )
                 # Submit-time write, not a runtime checkpoint: the
                 # fault injector's truncate hook is deliberately not
                 # consulted (there is no earlier state to fall back to).
-                save_checkpoint(path, fluid, initial_structure, time_step=0)
-                entry["init_checkpoint"] = path
-            self._manifest[job_id] = entry
-            self._save_manifest()
+                save_checkpoint(
+                    job.init_checkpoint,
+                    initial_fluid or _rest_fluid(config),
+                    initial_structure,
+                    time_step=0,
+                )
+            # Logged after the init checkpoint is on disk, so the event
+            # never names a missing file.
+            self._record(
+                "job_submitted",
+                job=job_id,
+                order=job.order,
+                num_steps=job.num_steps,
+                config=config.to_dict(),
+                init_checkpoint=job.init_checkpoint,
+            )
+        self._jobs.append(job)
+        self._counter += 1
+        self._status[job_id] = "queued"
         return job_id
 
     def pending_groups(self) -> dict[tuple, list[str]]:
@@ -646,140 +693,100 @@ class BatchScheduler:
     def _cancelled_result(self, job: BatchJob) -> BatchResult:
         """Terminal ``"cancelled"`` result for a job that never ran
         (or whose current attempt never started); bookkeeping included."""
-        fluid = job.initial_fluid
-        if fluid is None:
-            fluid = FluidGrid(
-                job.config.fluid_shape,
-                tau=job.config.effective_tau,
-                collision_operator=job.config.collision_operator,
-            )
-        result = BatchResult(
-            job_id=job.job_id,
-            status="cancelled",
-            steps_completed=job.start_step,
-            fluid=fluid,
-            structure=job.initial_structure,
-            slot=-1,
-            attempts=job.attempt,
-        )
-        self._status[job.job_id] = "cancelled"
         self._record(
             "job_cancelled", step=job.start_step, job=job.job_id, queued=True
         )
         metrics = self._metrics()
         if metrics is not None:
             metrics.counter("batch.sims_cancelled").inc()
-        if self._persist:
-            entry = self._manifest.get(job.job_id)
-            if entry is not None:
-                entry["status"] = "cancelled"
-                entry["steps_completed"] = job.start_step
-                self._save_manifest()
-        return result
+        return self._slotless_result(job, "cancelled", job.start_step)
+
+    def _slotless_result(
+        self,
+        job: BatchJob,
+        status: str,
+        steps: int,
+        failure: FailureInfo | None = None,
+    ) -> BatchResult:
+        """Terminal result for a job outside any slot: its initial state
+        (a fresh configured state when it has none)."""
+        self._status[job.job_id] = status
+        return BatchResult(
+            job_id=job.job_id,
+            status=status,
+            steps_completed=steps,
+            fluid=job.initial_fluid or _rest_fluid(job.config),
+            structure=job.initial_structure,
+            slot=-1,
+            attempts=job.attempt,
+            failure=failure,
+        )
 
     # ------------------------------------------------------------------
     # resume
     # ------------------------------------------------------------------
     @classmethod
     def resume(cls, workdir: str | os.PathLike, **kwargs) -> "BatchScheduler":
-        """Rebuild a scheduler from a (possibly killed) run's ``workdir``.
+        """Rebuild a scheduler from a (possibly killed) run's job log.
 
-        Reads the persisted queue manifest, reconstructs every job that
-        already reached a terminal state from its final checkpoint, and
-        re-queues every pending/running job from its newest *loadable*
-        checkpoint — corrupted or truncated files are journaled
-        (``checkpoint_corrupt``) and skipped, falling back to older
-        checkpoints, the submit-time initial state, and finally a fresh
-        configured state.  The next :meth:`run` then completes every
-        in-flight job and returns the union of restored and re-run
-        results.
-
-        ``kwargs`` are forwarded to the constructor (retry policy,
-        guard, telemetry, fault injector, cadence knobs...).
+        Folds the log (:func:`fold_job_log`) — ``incident_log``'s file
+        when ``kwargs`` (forwarded to the constructor) carry one, else
+        ``workdir``'s own; raises :class:`~repro.errors.CheckpointError`
+        when there is none.  A job with a terminal event stays terminal
+        and never runs again; any other submitted job is re-queued.
+        Either way its state is the newest *loadable* checkpoint
+        (corrupt ones are journaled and skipped), else its submit-time
+        checkpoint, logged ``state_seed`` or a fresh configured state.
+        Jobs a service accepted but never submitted are left to it.
+        The next :meth:`run` returns the restored and re-run results.
         """
+        from repro.verify.oracle import seeded_initial_fluid
+
         workdir = os.fspath(workdir)
-        manifest_path = os.path.join(workdir, MANIFEST_NAME)
+        path = getattr(kwargs.get("incident_log"), "jsonl_path", None)
+        path = path or os.path.join(workdir, INCIDENTS_NAME)
         try:
-            with open(manifest_path, encoding="utf-8") as fh:
-                manifest = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise CheckpointError(
-                f"cannot read scheduler manifest {manifest_path}: {exc}"
-            ) from exc
+            jobs = fold_job_log(IncidentLog.load(path).events)
+        except OSError as exc:
+            raise CheckpointError(f"cannot read job log {path}: {exc}") from exc
         scheduler = cls(workdir=workdir, **kwargs)
-        scheduler._counter = int(manifest.get("counter", 0))
-        entries = sorted(
-            manifest.get("jobs", {}).values(), key=lambda e: int(e["order"])
-        )
+        scheduler._counter = sum(j.order is not None for j in jobs.values())
         restored = requeued = 0
-        for entry in entries:
-            job_id = str(entry["job_id"])
-            scheduler._manifest[job_id] = entry
-            scheduler._ckpts[job_id] = [
-                (str(p), int(s)) for p, s in entry.get("checkpoints", [])
-            ]
-            config = SimulationConfig.from_dict(entry["config"])
-            num_steps = int(entry["num_steps"])
-            attempt = int(entry.get("attempt", 1))
-            status = str(entry.get("status", "pending"))
-            state = scheduler._restore_entry(entry, job_id)
-            fluid, structure, step = state if state is not None else (None, None, 0)
-            if status == "completed" and fluid is not None and step >= num_steps:
-                scheduler._restored[job_id] = BatchResult(
-                    job_id=job_id,
-                    status="completed",
-                    steps_completed=step,
-                    fluid=fluid,
-                    structure=structure,
-                    slot=-1,
-                    attempts=attempt,
-                )
-                scheduler._status[job_id] = "completed"
-                restored += 1
+        for logged in sorted(
+            jobs.values(), key=lambda j: -1 if j.order is None else j.order
+        ):
+            if logged.order is None and not logged.terminal:
                 continue
-            if status in ("failed", "diverged", "cancelled"):
-                failure = (
-                    FailureInfo.from_dict(entry["failure"])
-                    if entry.get("failure")
-                    else None
-                )
-                if fluid is None:
-                    fluid = FluidGrid(
-                        config.fluid_shape,
-                        tau=config.effective_tau,
-                        collision_operator=config.collision_operator,
-                    )
-                scheduler._restored[job_id] = BatchResult(
-                    job_id=job_id,
-                    status=status,
-                    steps_completed=int(entry.get("steps_completed", step)),
-                    fluid=fluid,
-                    structure=structure,
-                    slot=-1,
-                    attempts=attempt,
-                    failure=failure,
-                )
-                scheduler._status[job_id] = status
-                restored += 1
-                continue
-            # pending / running (the process died mid-flight), or a
-            # "completed" entry whose final checkpoint no longer loads:
-            # re-queue from the newest restorable state.
-            entry["status"] = "pending"
-            scheduler._status[job_id] = "queued"
-            scheduler._jobs.append(
-                BatchJob(
-                    job_id=job_id,
-                    config=config,
-                    num_steps=num_steps,
-                    order=int(entry["order"]),
-                    initial_fluid=fluid,
-                    initial_structure=structure,
-                    attempt=attempt,
-                    start_step=step,
-                )
+            job_id = logged.job_id
+            config = SimulationConfig.from_dict(logged.config)
+            scheduler._ckpts[job_id] = list(logged.trail)
+            state = scheduler._restore(job_id, logged.init_checkpoint)
+            if state is None and logged.state_seed is not None:
+                state = seeded_initial_fluid(config, logged.state_seed), None, 0
+            fluid, structure, step = state or (None, None, 0)
+            job = BatchJob(
+                job_id=job_id,
+                config=config,
+                num_steps=logged.num_steps,
+                order=-1 if logged.order is None else logged.order,
+                initial_fluid=fluid,
+                initial_structure=structure,
+                attempt=logged.attempt,
+                start_step=step,
+                init_checkpoint=logged.init_checkpoint,
             )
-            requeued += 1
+            if logged.terminal:
+                scheduler._restored[job_id] = scheduler._slotless_result(
+                    job,
+                    logged.status,
+                    step if logged.steps is None else logged.steps,
+                    logged.failure and FailureInfo.from_dict(logged.failure),
+                )
+                restored += 1
+            else:
+                scheduler._status[job_id] = "queued"
+                scheduler._jobs.append(job)
+                requeued += 1
         scheduler._record(
             "scheduler_resumed",
             restored=restored,
@@ -789,7 +796,6 @@ class BatchScheduler:
         metrics = scheduler._metrics()
         if metrics is not None:
             metrics.counter("batch.resumes").inc()
-        scheduler._save_manifest()
         return scheduler
 
     # ------------------------------------------------------------------
@@ -808,8 +814,7 @@ class BatchScheduler:
         reused for a new wave of submissions afterwards.  Results
         reconstructed by :meth:`resume` are merged in.
         """
-        results: dict[str, BatchResult] = dict(self._restored)
-        self._restored = {}
+        results = self.take_restored()
         jobs, self._jobs = self._jobs, []
         group_counter = 0
         self._running = True
@@ -834,6 +839,12 @@ class BatchScheduler:
             with self._cancel_lock:
                 self._cancel_requests -= set(results)
         return results
+
+    def take_restored(self) -> dict[str, BatchResult]:
+        """Hand over the terminal results :meth:`resume` rebuilt (the
+        next :meth:`run` then no longer returns them)."""
+        restored, self._restored = self._restored, {}
+        return restored
 
     @property
     def has_pending(self) -> bool:
@@ -1112,7 +1123,9 @@ class BatchScheduler:
                 metrics.counter("batch.quarantined").inc()
         policy = self.retry_policy
         if policy is not None and job.attempt < policy.max_attempts and not quarantined:
-            fluid, structure, start = self._restart_state(job)
+            fluid, structure, start = self._restore(
+                job.job_id, job.init_checkpoint
+            ) or (job.initial_fluid, job.initial_structure, job.start_step)
             retry = BatchJob(
                 job_id=job.job_id,
                 config=policy.damped(job.config),
@@ -1122,6 +1135,7 @@ class BatchScheduler:
                 initial_structure=structure,
                 attempt=job.attempt + 1,
                 start_step=start,
+                init_checkpoint=job.init_checkpoint,
             )
             retries.append(retry)
             self._status[job.job_id] = "queued"
@@ -1133,15 +1147,10 @@ class BatchScheduler:
                 from_step=start,
                 tau=retry.config.effective_tau,
                 error=message,
+                config=retry.config.to_dict(),
             )
             if metrics is not None:
                 metrics.counter("batch.retries").inc()
-            if self._persist:
-                entry = self._manifest[job.job_id]
-                entry["status"] = "pending"
-                entry["attempt"] = retry.attempt
-                entry["config"] = retry.config.to_dict()
-                self._save_manifest()
             slots[slot] = None
             if solver.active[slot]:  # guard ejections already parked the slot
                 solver.clear_slot(slot)
@@ -1172,76 +1181,47 @@ class BatchScheduler:
         )
         self._refill(solver, slots, slot, queue, results)
 
-    def _restart_state(
-        self, job: BatchJob
-    ) -> tuple[FluidGrid | None, ImmersedStructure | None, int]:
-        """Best restorable ``(fluid, structure, start_step)`` for a retry.
-
-        Preference order: newest loadable on-disk checkpoint (corrupt
-        ones are journaled and skipped), the submit-time initial-state
-        checkpoint, the in-memory state this attempt started from, and
-        finally a fresh configured state at step 0.
-        """
-        if self._persist:
-            entry = self._manifest.get(job.job_id)
-            if entry is not None:
-                state = self._restore_entry(entry, job.job_id)
-                if state is not None:
-                    return state
-        return job.initial_fluid, job.initial_structure, job.start_step
-
-    def _restore_entry(
-        self, entry: dict, job_id: str
+    def _restore(
+        self, job_id: str, init_checkpoint: str | None
     ) -> tuple[FluidGrid, ImmersedStructure | None, int] | None:
-        """Newest loadable checkpoint state for a manifest entry."""
+        """Newest loadable ``(fluid, structure, step)`` of a job.
+
+        Walks the checkpoint trail newest first (corrupt files are
+        journaled and dropped), then the submit-time checkpoint;
+        ``None`` when nothing loads.
+        """
         for path, _step in reversed(list(self._ckpts.get(job_id, []))):
             state = self._load_checkpoint(path, job_id)
             if state is not None:
                 return state
-        init = entry.get("init_checkpoint")
-        if init:
-            state = self._load_checkpoint(init, job_id, drop=False)
+        if init_checkpoint:
+            state = self._load_checkpoint(init_checkpoint, job_id)
             if state is not None:
                 return state[0], state[1], 0
         return None
 
     def _load_checkpoint(
-        self, path: str, job_id: str, drop: bool = True
+        self, path: str, job_id: str
     ) -> tuple[FluidGrid, ImmersedStructure | None, int] | None:
-        """Load one checkpoint, journaling and dropping it when unusable."""
+        """Load one checkpoint; an unusable one is journaled, dropped
+        from the trail and deleted."""
         try:
             fluid, structure, step = load_checkpoint(path)
+            if np.isfinite(fluid.density).all() and np.isfinite(fluid.df).all():
+                return fluid, structure, int(step)
+            # Written before the divergence was detected (coarse probe
+            # cadence): restarting from it would fail instantly.
+            self._record("checkpoint_unstable", step=step, job=job_id, path=path)
         except CheckpointError as exc:
             self._record(
                 "checkpoint_corrupt", job=job_id, path=path, error=str(exc)
             )
-            if drop:
-                self._drop_checkpoint(job_id, path)
-            return None
-        if not (
-            np.isfinite(fluid.density).all() and np.isfinite(fluid.df).all()
-        ):
-            # Written before the divergence was detected (coarse probe
-            # cadence): restarting from it would fail instantly.
-            self._record(
-                "checkpoint_unstable", step=step, job=job_id, path=path
-            )
-            if drop:
-                self._drop_checkpoint(job_id, path)
-            return None
-        return fluid, structure, int(step)
-
-    def _drop_checkpoint(self, job_id: str, path: str) -> None:
-        trail = [e for e in self._ckpts.get(job_id, []) if e[0] != path]
-        self._ckpts[job_id] = trail
-        try:
+        self._ckpts[job_id] = [
+            e for e in self._ckpts.get(job_id, []) if e[0] != path
+        ]
+        with contextlib.suppress(OSError):
             os.unlink(path)
-        except OSError:
-            pass
-        entry = self._manifest.get(job_id)
-        if entry is not None:
-            entry["checkpoints"] = [[p, s] for p, s in trail]
-            self._save_manifest()
+        return None
 
     # ------------------------------------------------------------------
     # persistence
@@ -1252,7 +1232,11 @@ class BatchScheduler:
         fluid: FluidGrid,
         structure: ImmersedStructure | None,
         step: int,
+        kind: str = "checkpoint_saved",
+        **detail,
     ) -> None:
+        """Save one checkpoint and log it as a ``kind`` event carrying the
+        rotated trail."""
         path = os.path.join(
             self.workdir, f"ckpt-{_safe_id(job_id)}-{step:08d}.npz"
         )
@@ -1261,34 +1245,18 @@ class BatchScheduler:
             self.fault_injector.after_checkpoint(path, step)
         trail = [e for e in self._ckpts.get(job_id, []) if e[1] != step]
         trail.append((path, step))
-        self._ckpts[job_id] = trail = rotate_checkpoints(
-            trail, self.keep_checkpoints
+        self._ckpts[job_id] = trail[-self.keep_checkpoints :]
+        # Log the new trail before rotation deletes the files it drops:
+        # a kill in between leaves a stray file, never a logged trail
+        # naming deleted ones.
+        self._record(
+            kind, step=step, job=job_id, path=path, trail=self._ckpts[job_id],
+            **detail,
         )
-        entry = self._manifest[job_id]
-        entry["checkpoints"] = [[p, s] for p, s in trail]
-        entry["steps_completed"] = step
-        self._save_manifest()
-        self._record("checkpoint_saved", step=step, job=job_id, path=path)
+        rotate_checkpoints(trail, self.keep_checkpoints)
         metrics = self._metrics()
         if metrics is not None:
             metrics.counter("batch.checkpoints").inc()
-
-    def _save_manifest(self) -> None:
-        if not self._persist:
-            return
-        final = os.path.join(self.workdir, MANIFEST_NAME)
-        tmp = final + ".tmp"
-        payload = {
-            "version": _MANIFEST_VERSION,
-            "counter": self._counter,
-            "jobs": self._manifest,
-        }
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, final)
 
     # ------------------------------------------------------------------
     # slot plumbing
@@ -1306,11 +1274,7 @@ class BatchScheduler:
                 job.initial_fluid, config.effective_tau, config.collision_operator
             )
         else:
-            fluid = FluidGrid(
-                config.fluid_shape,
-                tau=config.effective_tau,
-                collision_operator=config.collision_operator,
-            )
+            fluid = _rest_fluid(config)
         if job.initial_structure is not None:
             # The slot mutates its structure in place; keep the job's
             # restart state pristine for a possible further retry.
@@ -1320,11 +1284,6 @@ class BatchScheduler:
         solver.load_slot(slot, fluid, structure, job_id=job.job_id)
         slots[slot] = job
         self._status[job.job_id] = "running"
-        if self._persist:
-            entry = self._manifest.get(job.job_id)
-            if entry is not None:
-                entry["status"] = "running"
-                self._save_manifest()
 
     def _retire(
         self,
@@ -1370,17 +1329,23 @@ class BatchScheduler:
             ).inc()
             if failure is not None:
                 metrics.counter("batch.jobs_failed").inc()
-        if status == "completed":
+        if status in ("completed", "cancelled"):
             self._strikes.pop(job.job_id, None)
             if self._guard is not None:
                 self._guard.forgive(job.job_id)
+        if status == "completed" and self._persist:
+            # The final checkpoint and the completion are one log event:
+            # a job logged completed always has its final state on disk,
+            # so resume() restores it instead of re-running it.
+            self._write_checkpoint(
+                job.job_id, fluid, structure, steps, "job_completed",
+                attempt=job.attempt,
+            )
+        elif status == "completed":
             self._record(
                 "job_completed", step=steps, job=job.job_id, attempt=job.attempt
             )
         elif status == "cancelled":
-            self._strikes.pop(job.job_id, None)
-            if self._guard is not None:
-                self._guard.forgive(job.job_id)
             self._record(
                 "job_cancelled",
                 step=steps,
@@ -1396,19 +1361,8 @@ class BatchScheduler:
                 status=status,
                 attempt=job.attempt,
                 error=None if failure is None else failure.message,
+                failure=None if failure is None else failure.to_dict(),
             )
-        if self._persist:
-            if status == "completed":
-                # Final-state checkpoint: resume() rebuilds the result
-                # from it without re-running the job.
-                self._write_checkpoint(job.job_id, fluid, structure, steps)
-            entry = self._manifest.get(job.job_id)
-            if entry is not None:
-                entry["status"] = status
-                entry["steps_completed"] = steps
-                entry["attempt"] = job.attempt
-                entry["failure"] = None if failure is None else failure.to_dict()
-                self._save_manifest()
 
     def _next_job(
         self, queue: deque, results: dict[str, BatchResult]
@@ -1473,6 +1427,15 @@ class BatchScheduler:
         metrics = self._metrics()
         if metrics is not None:
             metrics.counter("batch.refills").inc()
+
+
+def _rest_fluid(config: SimulationConfig) -> FluidGrid:
+    """A fresh configured (rest) fluid state for ``config``."""
+    return FluidGrid(
+        config.fluid_shape,
+        tau=config.effective_tau,
+        collision_operator=config.collision_operator,
+    )
 
 
 def _safe_id(job_id: str) -> str:

@@ -343,14 +343,15 @@ class SimulationConfig:
         return [bc.build() for bc in self.boundaries]
 
     # ------------------------------------------------------------------
-    # serialisation (queue manifests, saved experiments)
+    # serialisation (the job log, saved experiments)
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
         """JSON-safe plain-dict form of the complete configuration.
 
         Round-trips exactly through :meth:`from_dict`; used by the
-        batch scheduler's persisted queue manifest so a killed
-        scheduler process can resubmit every job on resume.
+        job log's ``job_accepted`` / ``job_submitted`` / ``job_retry``
+        events so a killed scheduler process can resubmit every job on
+        resume.
         """
         return {
             "fluid_shape": list(self.fluid_shape),
@@ -384,7 +385,7 @@ class SimulationConfig:
         )
         if data.get("external_force") is not None:
             data["external_force"] = tuple(data["external_force"])
-        # Manifests written before the precision policy existed are
+        # Configs serialised before the precision policy existed are
         # float64 by construction.
         data.setdefault("precision", "float64")
         return cls(**data)

@@ -65,9 +65,9 @@ class Incident:
         Event type, e.g. ``"fault_injected"``, ``"checkpoint_saved"``,
         ``"checkpoint_corrupt"``, ``"stability_rollback"``,
         ``"worker_failure"``, ``"fallback_sequential"``,
-        ``"run_completed"`` — plus the batch-scheduler kinds
-        ``"slot_ejected"``, ``"job_retry"``, ``"job_quarantined"``,
-        ``"scheduler_resumed"``.
+        ``"run_completed"`` — plus the batch-scheduler and service
+        job-log kinds (``"job_submitted"``, ``"job_retry"``,
+        ``"slot_ejected"``, ``"scheduler_resumed"``, ...).
     step:
         Simulation time step the event refers to (``-1`` if not tied to
         a step).
@@ -123,12 +123,23 @@ class IncidentLog:
         return self._jsonl_path
 
     def attach_jsonl(self, path: str | os.PathLike) -> None:
-        """Mirror every future event into ``path`` (append, flush-per-record)."""
+        """Mirror every future event into ``path`` (append, flush-per-record).
+
+        A torn final line left by a kill mid-append is terminated first,
+        so the next record starts a line of its own instead of being
+        glued onto the fragment (and dropped with it by :meth:`load`).
+        """
         with self._lock:
             if self._jsonl is not None:
                 self._jsonl.close()
             self._jsonl_path = os.fspath(path)
             self._jsonl = open(self._jsonl_path, "a", encoding="utf-8")
+            with open(self._jsonl_path, "rb") as fh:
+                size = fh.seek(0, os.SEEK_END)
+                if size:
+                    fh.seek(size - 1)
+                    if fh.read(1) != b"\n":
+                        self._jsonl.write("\n")
 
     def close(self) -> None:
         """Close the JSONL sink (idempotent; the in-memory journal stays)."""

@@ -3,14 +3,14 @@
 The service's durability rule is *journal before admit*: a job is
 appended to the journal (fsync'd JSONL via
 :class:`~repro.resilience.incident.IncidentLog`) before it enters the
-fair queues, so a kill at any instant leaves every accepted job either
-
-* in the scheduler's own manifest (it was dispatched — the
-  :meth:`~repro.batch.scheduler.BatchScheduler.resume` machinery owns
-  its recovery), or
-* in this journal only (accepted but never dispatched — the service
-  re-enqueues it from the journaled config + state seed on
-  :meth:`~repro.service.service.SimulationService.resume`).
+fair queues.  The same log is the batch scheduler's job log (its
+``incident_log``), so one append-only file records every job from
+acceptance to its terminal state, and both resume paths read one fold
+of it (:func:`~repro.batch.scheduler.fold_job_log`): a kill at any
+instant leaves every accepted job either submitted (recovered by
+:meth:`~repro.batch.scheduler.BatchScheduler.resume`) or re-enqueued
+from its logged config + state seed by
+:meth:`~repro.service.service.SimulationService.resume`.
 
 Raw initial-state arrays are deliberately not journaled; submissions
 carry an optional ``state_seed`` and the journal stores the seed, so
@@ -21,8 +21,9 @@ recovery rebuilds bit-identical initial fluids through
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+from repro.batch.scheduler import LoggedJob, fold_job_log
 from repro.resilience.incident import IncidentLog
 
 __all__ = ["ServiceJournal", "JournalReplay", "SERVICE_JOURNAL_NAME"]
@@ -33,36 +34,21 @@ SERVICE_JOURNAL_NAME = "service.jsonl"
 
 @dataclass
 class JournalReplay:
-    """The journal folded into per-job outcomes (newest event wins)."""
+    """The journal folded per job (see :func:`fold_job_log`)."""
 
-    #: job_id -> acceptance record (tenant/config/num_steps/state_seed...).
-    accepted: dict[str, dict] = field(default_factory=dict)
-    #: Jobs handed to the batch scheduler (its manifest owns recovery).
-    dispatched: set[str] = field(default_factory=set)
-    #: Jobs cancelled at the service layer.
-    cancelled: set[str] = field(default_factory=set)
-    #: job_id -> ``{"status", "steps"}`` observed before the kill.
-    terminal: dict[str, dict] = field(default_factory=dict)
-
-    def undispatched(self) -> list[dict]:
-        """Acceptance records never handed to the scheduler, in order."""
-        return [
-            record
-            for job_id, record in self.accepted.items()
-            if job_id not in self.dispatched
-            and job_id not in self.cancelled
-            and job_id not in self.terminal
-        ]
+    #: Jobs the service accepted, in acceptance order.
+    accepted: dict[str, LoggedJob]
 
 
 class ServiceJournal:
-    """Append-only job-lifecycle journal over an :class:`IncidentLog`."""
+    """Append-only job-lifecycle journal over an :class:`IncidentLog`
+    (``log``, which the service shares with its batch scheduler)."""
 
     def __init__(self, workdir: str | os.PathLike) -> None:
         self.workdir = os.fspath(workdir)
         os.makedirs(self.workdir, exist_ok=True)
         self.path = os.path.join(self.workdir, SERVICE_JOURNAL_NAME)
-        self._log = IncidentLog(jsonl_path=self.path)
+        self.log = IncidentLog(jsonl_path=self.path)
 
     # ------------------------------------------------------------------
     # append side
@@ -77,7 +63,7 @@ class ServiceJournal:
         state_bytes: int,
     ) -> None:
         """Durably record an accepted job *before* it is enqueued."""
-        self._log.record(
+        self.log.record(
             "job_accepted",
             job=job_id,
             tenant=tenant,
@@ -88,46 +74,35 @@ class ServiceJournal:
         )
 
     def job_dispatched(self, job_id: str) -> None:
-        """The job entered the batch scheduler (its manifest now owns it)."""
-        self._log.record("job_dispatched", job=job_id)
+        """The job left the fair queues for the batch scheduler."""
+        self.log.record("job_dispatched", job=job_id)
 
     def job_terminal(self, job_id: str, status: str, steps: int) -> None:
         """The job reached a terminal status."""
-        self._log.record("job_terminal", job=job_id, status=status, steps=int(steps))
+        self.log.record("job_terminal", job=job_id, status=status, steps=int(steps))
 
     def job_cancelled(self, job_id: str, queued: bool) -> None:
         """A cancellation was accepted (``queued`` = before dispatch)."""
-        self._log.record("job_cancelled", job=job_id, queued=bool(queued))
+        self.log.record("job_cancelled", job=job_id, queued=bool(queued))
 
     def service_resumed(self, requeued: int, restored: int) -> None:
         """A restart rebuilt the service from this journal."""
-        self._log.record("service_resumed", requeued=requeued, restored=restored)
+        self.log.record("service_resumed", requeued=requeued, restored=restored)
 
     def close(self) -> None:
         """Release the underlying journal file handle."""
-        self._log.close()
+        self.log.close()
 
     # ------------------------------------------------------------------
     # replay side
     # ------------------------------------------------------------------
     @classmethod
     def replay(cls, workdir: str | os.PathLike) -> JournalReplay:
-        """Fold a (possibly torn-tailed) journal into per-job outcomes."""
+        """Fold a (possibly torn-tailed) journal per job."""
         path = os.path.join(os.fspath(workdir), SERVICE_JOURNAL_NAME)
-        outcome = JournalReplay()
         if not os.path.exists(path):
-            return outcome
-        for event in IncidentLog.load(path).events:
-            job_id = event.detail.get("job")
-            if event.kind == "job_accepted":
-                outcome.accepted[job_id] = dict(event.detail)
-            elif event.kind == "job_dispatched":
-                outcome.dispatched.add(job_id)
-            elif event.kind == "job_cancelled":
-                outcome.cancelled.add(job_id)
-            elif event.kind == "job_terminal":
-                outcome.terminal[job_id] = {
-                    "status": str(event.detail.get("status")),
-                    "steps": int(event.detail.get("steps", 0)),
-                }
-        return outcome
+            return JournalReplay({})
+        jobs = fold_job_log(IncidentLog.load(path).events)
+        return JournalReplay(
+            {k: job for k, job in jobs.items() if job.tenant is not None}
+        )

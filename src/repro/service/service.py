@@ -13,9 +13,10 @@ multi-tenant job service:
   :meth:`~repro.config.SimulationConfig.estimated_state_bytes`
   (:mod:`repro.service.admission`) bounds total resident state.
 * **durability** — every accepted job is journaled before it is
-  enqueued (:mod:`repro.service.journal`); a hard kill at any instant
-  is recovered by :meth:`SimulationService.resume`, which replays the
-  journal for never-dispatched jobs and delegates in-flight ones to
+  enqueued (:mod:`repro.service.journal`), into the one job log the
+  batch scheduler also appends to; a hard kill at any instant is
+  recovered by :meth:`SimulationService.resume`, which folds that log,
+  re-enqueues never-submitted jobs and leaves submitted ones to
   :meth:`BatchScheduler.resume`.
 
 Threading model: the asyncio event loop owns the service API; one
@@ -35,7 +36,6 @@ import time
 import threading
 
 from repro.batch.scheduler import (
-    TERMINAL_STATUSES,
     BatchResult,
     BatchScheduler,
     JobRequest,
@@ -64,8 +64,9 @@ class SimulationService:
     Parameters
     ----------
     workdir:
-        Durability root: the service journal lives at its top level and
-        the batch scheduler's manifest/checkpoints under ``batch/``.
+        Durability root: the job log (``service.jsonl``) lives at its
+        top level and the batch scheduler's checkpoints under
+        ``batch/``.
     tenants:
         Tenant specs; defaults to a single ``default`` tenant.
     max_batch:
@@ -148,12 +149,12 @@ class SimulationService:
             guard=self.guard,
             step_hook=self._on_tick,
             refill_source=self._refill_source,
+            incident_log=self._journal.log,
         )
 
-    def _build_scheduler(self) -> BatchScheduler:
-        scheduler = BatchScheduler(
-            workdir=self.batch_workdir, **self._batch_kwargs()
-        )
+    def _build_scheduler(self, resume: bool = False) -> BatchScheduler:
+        build = BatchScheduler.resume if resume else BatchScheduler
+        scheduler = build(workdir=self.batch_workdir, **self._batch_kwargs())
         if self.retuner is not None:
             # Re-bound on every rebuild (resume_on_kill constructs fresh
             # schedulers) so re-tuned knobs always reach the live one.
@@ -243,6 +244,8 @@ class SimulationService:
         reserved: bool = False,
     ) -> None:
         """Journal (optionally) and enqueue one accepted job."""
+        from repro.verify.oracle import seeded_initial_fluid
+
         record = JobRecord(
             job_id=job_id,
             tenant=tenant,
@@ -259,7 +262,9 @@ class SimulationService:
                 config=config,
                 num_steps=int(num_steps),
                 job_id=job_id,
-                initial_fluid=self._initial_fluid(config, state_seed),
+                initial_fluid=None
+                if state_seed is None
+                else seeded_initial_fluid(config, state_seed),
             ),
             state_bytes=state_bytes,
             state_seed=state_seed,
@@ -276,16 +281,6 @@ class SimulationService:
         self._queues.push(pending, reserved=reserved)
         with self._state_lock:
             self._records[job_id] = record
-
-    @staticmethod
-    def _initial_fluid(
-        config: SimulationConfig, state_seed: int | None
-    ) -> FluidGrid | None:
-        if state_seed is None:
-            return None
-        from repro.verify.oracle import seeded_initial_fluid
-
-        return seeded_initial_fluid(config, state_seed)
 
     # ------------------------------------------------------------------
     # lifecycle queries
@@ -304,9 +299,7 @@ class SimulationService:
         """Wait until the job is terminal; returns its :class:`BatchResult`."""
         with self._state_lock:
             record = self._records[job_id]
-            # A record restored terminal by resume() may still await its
-            # BatchResult from the scheduler's next run — keep waiting.
-            if record.terminal and record.result is not None:
+            if record.terminal:
                 return record.result
             event = asyncio.Event()
             self._terminal_events.setdefault(job_id, []).append(event)
@@ -334,10 +327,7 @@ class SimulationService:
         finished = None
         with self._state_lock:
             record = self._records[job_id]
-            # A record restored terminal by resume() may still await its
-            # BatchResult from the scheduler's next run — subscribe and
-            # let _finish deliver it rather than yielding result=None.
-            if record.terminal and record.result is not None:
+            if record.terminal:
                 finished = {
                     "type": "result",
                     "job_id": job_id,
@@ -515,9 +505,7 @@ class SimulationService:
                     raise
                 if metrics is not None:
                     metrics.counter("service.kills_survived").inc()
-                self._scheduler = BatchScheduler.resume(
-                    self.batch_workdir, **self._batch_kwargs()
-                )
+                self._scheduler = self._build_scheduler(resume=True)
                 continue
             finally:
                 if tracer is not None:
@@ -532,54 +520,37 @@ class SimulationService:
         self._absorb(results)
 
     def _dispatch(self, pending: PendingJob) -> None:
-        """Hand one queued job to the scheduler (loop or executor thread)."""
+        """Hand one queued job to the scheduler (event-loop thread)."""
+        request = self._dispatched(pending)
         self._scheduler.submit(
-            pending.request.config,
-            pending.request.num_steps,
-            job_id=pending.job_id,
-            initial_fluid=pending.request.initial_fluid,
-            initial_structure=pending.request.initial_structure,
+            request.config,
+            request.num_steps,
+            job_id=request.job_id,
+            initial_fluid=request.initial_fluid,
+            initial_structure=request.initial_structure,
         )
-        self._journal.job_dispatched(pending.job_id)
-        now = time.monotonic()
-        metrics = self._metrics()
-        with self._state_lock:
-            record = self._records.get(pending.job_id)
-            if record is not None:
-                record.dispatched_at = now
-                queue_seconds = now - record.submitted_at
-            else:  # pragma: no cover - defensive
-                queue_seconds = None
-        if metrics is not None:
-            if queue_seconds is not None:
-                metrics.histogram("service.queue_latency_seconds").observe(
-                    queue_seconds
-                )
-            metrics.gauge("service.queue_depth").set(self._queues.depth())
 
     def _refill_source(self, compat_key: tuple) -> JobRequest | None:
-        """Scheduler callback (executor thread): next fair-order job
-        of the running compatibility group, already bookkept."""
+        """Scheduler callback (executor thread): next fair-order job of
+        the running compatibility group, which the scheduler submits."""
         pending = self._queues.pop_next(compat_key)
-        if pending is None:
-            return None
+        return None if pending is None else self._dispatched(pending)
+
+    def _dispatched(self, pending: PendingJob) -> JobRequest:
+        """Journal and time one job leaving the fair queues."""
         self._journal.job_dispatched(pending.job_id)
         now = time.monotonic()
-        metrics = self._metrics()
         with self._state_lock:
             record = self._records.get(pending.job_id)
-            queue_seconds = None
             if record is not None:
                 record.dispatched_at = now
-                queue_seconds = now - record.submitted_at
+        metrics = self._metrics()
         if metrics is not None:
-            if queue_seconds is not None:
+            if record is not None:
                 metrics.histogram("service.queue_latency_seconds").observe(
-                    queue_seconds
+                    now - record.submitted_at
                 )
             metrics.gauge("service.queue_depth").set(self._queues.depth())
-        # The scheduler submits the request itself; strip the job through
-        # its JobRequest form (initial state included).
         return pending.request
 
     def _on_tick(self, tick: SchedulerTick) -> None:
@@ -626,13 +597,8 @@ class SimulationService:
         for job_id, result in results.items():
             with self._state_lock:
                 record = self._records.get(job_id)
-                # A record restored terminal by resume() still needs its
-                # BatchResult attached the first time it flows through.
-                already = record is None or (
-                    record.terminal and record.result is not None
-                )
-            if already:
-                continue
+                if record is None or record.terminal:
+                    continue
             self._finish(record, result)
 
     def _finish(self, record: JobRecord, result: BatchResult) -> None:
@@ -674,103 +640,63 @@ class SimulationService:
     def resume(cls, workdir: str | os.PathLike, **kwargs) -> "SimulationService":
         """Rebuild a service from a killed instance's ``workdir``.
 
-        Jobs the dead service had dispatched are recovered through
-        :meth:`BatchScheduler.resume` (newest loadable checkpoint);
-        jobs journaled but never dispatched are re-enqueued from their
-        journaled config + state seed.  Tenants default to those in
-        ``kwargs``; tenants found only in the journal are auto-
-        registered at weight 1 so no accepted job is orphaned.
+        Folds the job log once per layer: :meth:`BatchScheduler.resume`
+        restores every job with a terminal event (its result is attached
+        here) and re-queues every submitted one from its newest loadable
+        checkpoint; jobs accepted but never submitted are re-enqueued
+        from their logged config + state seed.  Tenants default to those
+        in ``kwargs``; tenants found only in the log are auto-registered
+        at weight 1 so no accepted job is orphaned.
         """
-        replay = ServiceJournal.replay(workdir)
+        accepted = ServiceJournal.replay(workdir).accepted
         tenants = {spec.name: spec for spec in kwargs.pop("tenants", None) or []}
-        for record in replay.accepted.values():
-            tenants.setdefault(str(record["tenant"]), TenantSpec(str(record["tenant"])))
+        for job in accepted.values():
+            tenants.setdefault(job.tenant, TenantSpec(job.tenant))
         if not tenants:
             tenants["default"] = TenantSpec("default")
         service = cls(workdir, tenants=list(tenants.values()), **kwargs)
-        batch_manifest = os.path.join(service.batch_workdir, "manifest.json")
-        if os.path.exists(batch_manifest):
-            service._scheduler = BatchScheduler.resume(
-                service.batch_workdir, **service._batch_kwargs()
-            )
+        service._scheduler = service._build_scheduler(resume=True)
+        finished = service._scheduler.take_restored()
         requeued = restored = 0
-        for job_id, accepted in replay.accepted.items():
-            config = SimulationConfig.from_dict(accepted["config"])
-            num_steps = int(accepted["num_steps"])
-            tenant = str(accepted["tenant"])
-            state_seed = accepted.get("state_seed")
-            state_bytes = int(accepted.get("state_bytes", 0))
+        for job_id, job in accepted.items():
+            config = SimulationConfig.from_dict(job.config)
+            status = service._scheduler.job_status(job_id)
+            if status is None:
+                # Accepted but never submitted: re-enqueue from the log.
+                service._budget.reserve(job_id, job.state_bytes)
+                service._enqueue(
+                    job_id, job.tenant, config, job.num_steps, job.state_seed,
+                    job.state_bytes, journal=False,
+                )
+                requeued += 1
+                continue
+            # The scheduler owns it: terminal (its result restored) or
+            # already re-queued there.
+            result = finished.get(job_id)
             record = JobRecord(
                 job_id=job_id,
-                tenant=tenant,
+                tenant=job.tenant,
                 config=config,
-                num_steps=num_steps,
-                state_bytes=state_bytes,
-                state_seed=state_seed,
+                num_steps=job.num_steps,
+                state_bytes=job.state_bytes,
+                state_seed=job.state_seed,
                 submitted_at=time.monotonic(),
+                status=status,
+                steps_completed=result.steps_completed if result else 0,
+                result=result,
             )
-            scheduler_status = service._scheduler.job_status(job_id)
-            if scheduler_status is not None:
-                if (
-                    job_id in replay.cancelled
-                    and scheduler_status not in TERMINAL_STATUSES
-                ):
-                    # The dead service acknowledged this cancellation but
-                    # the scheduler never persisted it — re-issue it so
-                    # the job cannot run to completion after resume.
-                    service._scheduler.cancel(job_id)
-                    scheduler_status = service._scheduler.job_status(job_id)
-                # The scheduler owns it: terminal results surface on the
-                # next run(); in-flight jobs are already requeued there.
-                record.dispatched_at = record.submitted_at
-                record.status = (
-                    scheduler_status if scheduler_status != "queued" else "queued"
-                )
-                if record.terminal:
-                    restored += 1
-                else:
-                    try:
-                        service._budget.reserve(job_id, state_bytes)
-                    except AdmissionError:
-                        pass  # already resident in scheduler state
-                    requeued += 1
-                with service._state_lock:
-                    service._records[job_id] = record
-                continue
-            if job_id in replay.cancelled or job_id in replay.terminal:
-                terminal = replay.terminal.get(job_id)
-                record.status = (
-                    str(terminal["status"]) if terminal else "cancelled"
-                )
-                record.steps_completed = int(terminal["steps"]) if terminal else 0
-                # Rebuild the same fluid the pre-kill result carried: the
-                # seeded initial state when the job had a state seed.
-                fluid = cls._initial_fluid(config, state_seed)
-                if fluid is None:
-                    fluid = FluidGrid(
-                        config.fluid_shape,
-                        tau=config.effective_tau,
-                        collision_operator=config.collision_operator,
-                    )
-                record.result = BatchResult(
-                    job_id=job_id,
-                    status=record.status,
-                    steps_completed=record.steps_completed,
-                    fluid=fluid,
-                    structure=None,
-                )
+            record.dispatched_at = record.submitted_at
+            if record.terminal:
                 restored += 1
-                with service._state_lock:
-                    service._records[job_id] = record
-                continue
-            # Accepted but never dispatched: re-enqueue from the journal.
-            service._budget.reserve(job_id, state_bytes)
-            service._enqueue(
-                job_id, tenant, config, num_steps, state_seed, state_bytes,
-                journal=False,
-            )
-            requeued += 1
-        service._counter = len(replay.accepted)
+            else:
+                try:
+                    service._budget.reserve(job_id, job.state_bytes)
+                except AdmissionError:
+                    pass  # already resident in scheduler state
+                requeued += 1
+            with service._state_lock:
+                service._records[job_id] = record
+        service._counter = len(accepted)
         service._journal.service_resumed(requeued=requeued, restored=restored)
         metrics = service._metrics()
         if metrics is not None:

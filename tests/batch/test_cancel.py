@@ -138,7 +138,7 @@ class TestCancelPersistence:
         _submit_seeded(scheduler, "drop", seed=0, steps=4)
         _submit_seeded(scheduler, "keep", seed=1, steps=4)
         assert scheduler.cancel("drop")
-        # Simulate a death before run(): resume from the manifest.
+        # Simulate a death before run(): resume from the job log.
         revived = BatchScheduler.resume(tmp_path)
         assert revived.job_status("drop") == "cancelled"
         assert revived.job_status("keep") == "queued"

@@ -1,16 +1,17 @@
 """Scheduler fault tolerance: retries, quarantine, checkpoints, resume."""
 
-import json
 import os
 
 import numpy as np
 import pytest
 
 from repro.batch import BatchRetryPolicy, BatchScheduler
+from repro.batch.scheduler import fold_job_log
 from repro.config import SimulationConfig, StructureConfig
 from repro.errors import CheckpointError, ConfigurationError, WorkerKilledError
 from repro.observe import Telemetry
 from repro.resilience.faults import Fault, FaultInjector, FaultPlan
+from repro.resilience.incident import IncidentLog
 from repro.verify.golden import fields_digest
 
 pytestmark = pytest.mark.faults
@@ -257,10 +258,10 @@ class TestCheckpointPersistence:
         with pytest.raises(WorkerKilledError):
             scheduler.run()
 
-        manifest = json.load(open(os.path.join(tmp_path, "manifest.json")))
-        entry = manifest["jobs"]["j0"]
-        assert entry["status"] == "running"
-        newest_path, newest_step = entry["checkpoints"][-1]
+        log = IncidentLog.load(os.path.join(tmp_path, "incidents.jsonl"))
+        logged = fold_job_log(log.events)["j0"]
+        assert not logged.terminal
+        newest_path, newest_step = logged.trail[-1]
         assert newest_step == 4
         if tamper == "truncate":
             size = os.path.getsize(newest_path)
@@ -299,6 +300,9 @@ class TestCheckpointPersistence:
         assert fields_digest(result.fluid, result.structure) == golden["j0"]
 
     def test_resume_without_manifest_raises(self, tmp_path):
+        """A workdir without a job log cannot be resumed."""
+        with pytest.raises(CheckpointError):
+            BatchScheduler.resume(tmp_path)
         with pytest.raises(CheckpointError):
             BatchScheduler.resume(tmp_path / "nowhere")
 

@@ -188,3 +188,18 @@ class TestIncidentLog:
             t.join()
         assert len(log) == 400
         assert [e.seq for e in log.events] == list(range(400))
+
+    def test_reopen_after_torn_tail_keeps_every_later_record(self, tmp_path):
+        """A kill mid-append leaves a partial line; records appended
+        after reopening must not be glued onto it and lost."""
+        path = tmp_path / "journal.jsonl"
+        log = IncidentLog(jsonl_path=path)
+        log.record("a")
+        log.close()
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write('{"seq": 1, "kind": "to')
+        log = IncidentLog(jsonl_path=path)
+        log.record("b")
+        log.record("c")
+        log.close()
+        assert [e.kind for e in IncidentLog.load(path).events] == ["a", "b", "c"]

@@ -276,8 +276,8 @@ class TestRecovery:
             return job_id
 
         job_id = asyncio.run(main())
-        # The batch scheduler's manifest is lost; only the service
-        # journal survives to reconstruct the terminal record.
+        # The batch scheduler's checkpoints are lost; only the job log
+        # survives to reconstruct the terminal record.
         shutil.rmtree(tmp_path / "batch")
         revived = SimulationService.resume(tmp_path)
         snapshot = revived.poll(job_id)

@@ -9,8 +9,8 @@ dispatched.  A *second* instance is then rebuilt from the same workdir
 via :meth:`SimulationService.resume` and must finish every job with
 results bit-identical to solo runs.
 
-Set ``LBMIB_SERVICE_DIR`` to keep the service journal and scheduler
-manifest for inspection (CI archives them on failure).
+Set ``LBMIB_SERVICE_DIR`` to keep the service's job log for
+inspection (CI archives it on failure).
 """
 
 from __future__ import annotations

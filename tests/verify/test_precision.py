@@ -87,7 +87,7 @@ def test_config_precision_round_trip():
 
 def test_config_without_precision_entry_defaults_to_float64():
     data = _config().to_dict()
-    del data["precision"]  # a manifest written before the policy existed
+    del data["precision"]  # a config serialised before the policy existed
     assert SimulationConfig.from_dict(data).precision == "float64"
 
 

@@ -407,14 +407,15 @@ class Simulation:
     # checkpoint / restore
     # ------------------------------------------------------------------
     def checkpoint(self, path: str | os.PathLike) -> None:
-        """Atomically save the complete state (any solver variant).
+        """Atomically save the restart state (any solver variant).
 
         The state is gathered into the global layout first, so a
         checkpoint written by one solver variant restores into any
-        other — the fallback path the resilient runner relies on.  The
-        in-place variant saves its raw single lattice plus the
-        ``aa_phase`` flag instead (no ``df_new`` entry); readers decode
-        mid-cycle checkpoints to the natural layout on restore.
+        other — the fallback path the resilient runner relies on.  No
+        variant stores ``df_new`` (each step writes it before reading
+        it).  The in-place variant saves its raw single lattice plus
+        the ``aa_phase`` flag; readers decode mid-cycle checkpoints to
+        the natural layout on restore.
         """
         from repro.io.checkpoint import save_checkpoint
 

@@ -78,6 +78,7 @@ import re
 import threading
 import time
 from collections import deque
+from collections.abc import Collection
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -726,7 +727,12 @@ class BatchScheduler:
     # resume
     # ------------------------------------------------------------------
     @classmethod
-    def resume(cls, workdir: str | os.PathLike, **kwargs) -> "BatchScheduler":
+    def resume(
+        cls,
+        workdir: str | os.PathLike,
+        known_terminal: Collection[str] = (),
+        **kwargs,
+    ) -> "BatchScheduler":
         """Rebuild a scheduler from a (possibly killed) run's job log.
 
         Folds the log (:func:`fold_job_log`) — ``incident_log``'s file
@@ -737,8 +743,11 @@ class BatchScheduler:
         Either way its state is the newest *loadable* checkpoint
         (corrupt ones are journaled and skipped), else its submit-time
         checkpoint, logged ``state_seed`` or a fresh configured state.
-        Jobs a service accepted but never submitted are left to it.
-        The next :meth:`run` returns the restored and re-run results.
+        Terminal jobs named in ``known_terminal`` (results the caller
+        already holds) keep their status but load nothing and restore
+        no result.  Jobs a service accepted but never submitted are
+        left to it.  The next :meth:`run` returns the restored and
+        re-run results.
         """
         from repro.verify.oracle import seeded_initial_fluid
 
@@ -758,6 +767,9 @@ class BatchScheduler:
             if logged.order is None and not logged.terminal:
                 continue
             job_id = logged.job_id
+            if logged.terminal and job_id in known_terminal:
+                scheduler._status[job_id] = logged.status
+                continue
             config = SimulationConfig.from_dict(logged.config)
             scheduler._ckpts[job_id] = list(logged.trail)
             state = scheduler._restore(job_id, logged.init_checkpoint)

@@ -1,8 +1,26 @@
 """Checkpoint / restore of a full simulation state (npz format).
 
 Long FSI runs are expensive; checkpoints capture the fluid grid and the
-immersed structure exactly (both distribution buffers, both velocity
-fields, positions, forces) so a restored run continues bit-for-bit.
+immersed structure exactly (the present distribution buffer ``df``, the
+macroscopic fields, positions, forces) so a restored run continues
+bit-for-bit.
+
+What is stored, and why:
+
+* **``df`` only, never ``df_new``.**  Every two-lattice step streams
+  into all of ``df_new`` (then repairs the boundary faces) before
+  anything reads it, so its content at a step boundary is dead;
+  :func:`load_checkpoint` reseeds it from ``df``.  That was a third of
+  the payload.  In-place AA grids have no second buffer at all.
+* **The derived fields stay.**  ``density``, ``velocity``,
+  ``velocity_shifted`` and ``force`` are outputs of the last step, not
+  inputs of the next, but the golden digests and every restored
+  terminal batch result read them, and recomputing them on load could
+  not match every writer variant bit for bit.
+* **Stored, not deflated.**  A seeded lattice compresses by ~14% at the
+  cost of ~70x the write time, so archives are written with
+  :func:`numpy.savez` (``ZIP_STORED`` members).  Older deflated
+  archives, with or without ``df_new``, still load.
 
 Checkpoints are crash-safe by construction:
 
@@ -75,7 +93,11 @@ def save_checkpoint(
     structure: ImmersedStructure | None = None,
     time_step: int = 0,
 ) -> None:
-    """Atomically write the complete state to ``path`` (npz)."""
+    """Atomically write the restart state to ``path`` (stored npz).
+
+    ``fluid.df_new`` is not written (see the module docs); the loader
+    reseeds it from ``df``.
+    """
     payload: dict[str, np.ndarray] = {
         "format_version": np.array(_FORMAT_VERSION),
         "time_step": np.array(time_step),
@@ -91,10 +113,6 @@ def save_checkpoint(
         "force": fluid.force,
         "num_sheets": np.array(0 if structure is None else len(structure.sheets)),
     }
-    if fluid.df_new is not None:
-        # Single-lattice (in-place AA) grids have no second buffer; the
-        # entry is simply absent and load_checkpoint reseeds it.
-        payload["df_new"] = fluid.df_new
     if structure is not None:
         for i, s in enumerate(structure.sheets):
             payload[f"sheet{i}_positions"] = s.positions
@@ -120,7 +138,7 @@ def save_checkpoint(
     tmp = final + ".tmp"
     try:
         with open(tmp, "wb") as fh:
-            np.savez_compressed(fh, **payload)
+            np.savez(fh, **payload)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, final)
@@ -210,13 +228,10 @@ def load_checkpoint(
             precision=precision,
         )
         fluid.df[...] = arrays["df"]
-        if "df_new" in arrays:
-            fluid.df_new[...] = arrays["df_new"]
-        else:
-            # Single-lattice checkpoint: seed the second buffer from the
-            # (possibly AA-encoded) lattice; consumers that need the
-            # natural layout decode via the aa_phase flag below.
-            fluid.df_new[...] = arrays["df"]
+        # Archives written before df_new was dropped still carry it;
+        # otherwise seed the second buffer from the (possibly
+        # AA-encoded) lattice, whose consumers decode via aa_phase.
+        fluid.df_new[...] = arrays.get("df_new", arrays["df"])
         fluid.aa_phase = int(arrays["aa_phase"]) if "aa_phase" in arrays else 0
         fluid.density[...] = arrays["density"]
         fluid.velocity[...] = arrays["velocity"]

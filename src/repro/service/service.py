@@ -153,8 +153,15 @@ class SimulationService:
         )
 
     def _build_scheduler(self, resume: bool = False) -> BatchScheduler:
-        build = BatchScheduler.resume if resume else BatchScheduler
-        scheduler = build(workdir=self.batch_workdir, **self._batch_kwargs())
+        kwargs = dict(workdir=self.batch_workdir, **self._batch_kwargs())
+        if resume:
+            # Results this service already holds need no checkpoint load
+            # (none yet when a fresh instance resumes a killed one).
+            with self._state_lock:
+                held = {i for i, r in self._records.items() if r.terminal}
+            scheduler = BatchScheduler.resume(known_terminal=held, **kwargs)
+        else:
+            scheduler = BatchScheduler(**kwargs)
         if self.retuner is not None:
             # Re-bound on every rebuild (resume_on_kill constructs fresh
             # schedulers) so re-tuned knobs always reach the live one.

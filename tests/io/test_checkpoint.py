@@ -1,6 +1,7 @@
 """Tests of checkpoint save/restore."""
 
 import os
+import zipfile
 
 import numpy as np
 import pytest
@@ -68,6 +69,60 @@ class TestRoundTrip:
         solver_b.run(3)
         assert grid_a.state_allclose(grid_b, rtol=0, atol=0)
         assert structure_a.state_allclose(structure_b, rtol=0, atol=0)
+
+
+class TestFormat:
+    """What an archive stores, and that older archives keep loading."""
+
+    def test_parent_format_archive_loads_bit_identically(self, tmp_path):
+        """A deflated archive carrying ``df_new`` (the format written
+        before the second buffer was dropped) restores every array,
+        ``df_new`` included, exactly as stored."""
+        grid, structure, solver = _evolved_state()
+        grid.df_new[...] = 0.5 * grid.df  # distinct from df: must be read back
+        path = tmp_path / "old.npz"
+        save_checkpoint(path, grid, structure, time_step=solver.time_step)
+        with np.load(path) as data:
+            payload = {key: data[key] for key in data.files}
+        payload["df_new"] = grid.df_new
+        payload["checksum"] = np.array(payload_checksum(payload))
+        np.savez_compressed(path, **payload)
+        with zipfile.ZipFile(path) as archive:
+            assert {m.compress_type for m in archive.infolist()} == {
+                zipfile.ZIP_DEFLATED
+            }
+
+        restored, restored_structure, step = load_checkpoint(path)
+        assert step == 4
+        for name in ("df", "df_new", "density", "velocity", "velocity_shifted", "force"):
+            np.testing.assert_array_equal(
+                getattr(restored, name), getattr(grid, name), err_msg=name
+            )
+        assert restored_structure.state_allclose(structure, rtol=0, atol=0)
+
+    def test_archive_is_stored_without_second_buffer(self, tmp_path):
+        grid, structure, _ = _evolved_state()
+        path = tmp_path / "ck.npz"
+        save_checkpoint(path, grid, structure)
+        with zipfile.ZipFile(path) as archive:
+            members = archive.infolist()
+        assert {m.compress_type for m in members} == {zipfile.ZIP_STORED}
+        assert "df_new.npy" not in {m.filename for m in members}
+        restored, _, _ = load_checkpoint(path)
+        np.testing.assert_array_equal(restored.df_new, restored.df)
+
+    def test_archive_costs_what_it_stores(self, tmp_path):
+        """File size <= the restart fields' bytes + 16 KiB of zip and
+        .npy headers: a second lattice buffer (another 19 x 16^3
+        float64 = 608 KiB) cannot hide in the slack."""
+        grid = FluidGrid((16, 16, 16), tau=0.8)
+        path = tmp_path / "ck.npz"
+        save_checkpoint(path, grid)
+        payload = sum(
+            getattr(grid, name).nbytes
+            for name in ("df", "density", "velocity", "velocity_shifted", "force")
+        )
+        assert os.path.getsize(path) <= payload + 16 * 1024
 
 
 class TestErrors:
